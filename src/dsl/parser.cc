@@ -66,6 +66,23 @@ class Parser {
     return false;
   }
 
+  // Held by every recursive step (block, expression, prefix operator).
+  class NestingGuard {
+   public:
+    explicit NestingGuard(Parser& p) : p_(p) {
+      if (p_.depth_ == kMaxNesting) {
+        p_.fail("nesting deeper than " + std::to_string(kMaxNesting));
+      }
+      ++p_.depth_;
+    }
+    ~NestingGuard() { --p_.depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   // ---- declarations ----
   void parse_class(model::AppModel& app) {
     next();  // 'class'
@@ -141,6 +158,7 @@ class Parser {
 
   // ---- statements ----
   void parse_block() {
+    const NestingGuard guard(*this);
     expect_punct("{");
     while (!accept_punct("}")) parse_statement();
   }
@@ -229,7 +247,10 @@ class Parser {
   }
 
   // ---- expressions ----
-  void parse_expr() { parse_comparison(); }
+  void parse_expr() {
+    const NestingGuard guard(*this);
+    parse_comparison();
+  }
 
   void parse_comparison() {
     parse_additive();
@@ -299,6 +320,7 @@ class Parser {
   void parse_unary() {
     if (cur().is_punct("-")) {
       next();
+      const NestingGuard guard(*this);
       ir_.const_val(Value(std::int32_t{0}));
       parse_unary();
       ir_.sub();
@@ -306,6 +328,7 @@ class Parser {
     }
     if (cur().is_punct("!")) {
       next();
+      const NestingGuard guard(*this);
       parse_unary();
       ir_.const_val(Value(false));
       ir_.eq();
@@ -427,6 +450,7 @@ class Parser {
   IrBuilder ir_;
   std::unordered_map<std::string, std::int32_t> locals_;
   bool is_static_ = false;
+  int depth_ = 0;
 };
 
 }  // namespace

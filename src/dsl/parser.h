@@ -22,6 +22,12 @@
 //
 // Fields must be declared before the methods that use them. Every parse
 // or compile problem throws ParseError with the line number.
+//
+// Nesting is bounded: blocks, expressions (each parenthesised expression
+// and call argument opens one) and prefix operators together may nest at
+// most kMaxNesting deep. Deeper input is a ParseError, never a stack
+// overflow. The compiler emits code as it parses, so this one bound
+// covers the whole compile.
 #pragma once
 
 #include <string>
@@ -30,6 +36,8 @@
 #include "model/app_model.h"
 
 namespace msv::dsl {
+
+inline constexpr int kMaxNesting = 256;
 
 // Parses and compiles a whole program.
 model::AppModel parse_program(const std::string& source);

@@ -65,14 +65,21 @@ void update_le64(Sha256& h, std::uint64_t v) {
 
 }  // namespace
 
-Sha256::Digest SealingPlatform::derive_key(
+const SealingPlatform::Identity& SealingPlatform::identity(
     const Sha256::Digest& mr_enclave) const {
+  if (memo_ && memo_->mr_enclave == mr_enclave) return *memo_;
+  Identity& id = memo_.emplace();
+  id.mr_enclave = mr_enclave;
   // EGETKEY with KEYPOLICY.MRENCLAVE: key = KDF(fuse key, measurement).
-  Sha256 h;
-  h.update(platform_secret_);
-  h.update("seal-key-v1");
-  h.update(mr_enclave.data(), mr_enclave.size());
-  return h.finish();
+  Sha256 kdf;
+  kdf.update(platform_secret_);
+  kdf.update("seal-key-v1");
+  kdf.update(mr_enclave.data(), mr_enclave.size());
+  id.key = kdf.finish();
+  id.mac_prefix.update(id.key.data(), id.key.size());
+  id.mac_prefix.update("seal-mac-v2");
+  id.mac_prefix.update(mr_enclave.data(), mr_enclave.size());
+  return id;
 }
 
 void SealingPlatform::apply_keystream(const Sha256::Digest& key,
@@ -92,18 +99,19 @@ void SealingPlatform::apply_keystream(const Sha256::Digest& key,
   }
 }
 
-Sha256::Digest SealingPlatform::compute_mac(const Sha256::Digest& key,
-                                            const SealedBlob& blob) const {
+Sha256::Digest SealingPlatform::compute_mac(const Identity& id,
+                                            const SealedBlob& blob) {
+  // MAC = H(key || "seal-mac-v2" || mr_enclave || le64(|iv|) || iv ||
+  //         le64(|ct|) || ct); the identity carries the hash state after
+  // the fixed prefix, and its mr_enclave is the blob's.
+  //
   // Every variable-length field is length-framed: hashing bare
   // iv || ciphertext would let an attacker slide bytes across the field
   // boundary (shorten the iv, prepend those bytes to the ciphertext)
   // without changing the MAC input. v2 also drops the redundant trailing
   // key of v1 — the key already keys the hash from the front, and feeding
   // it in twice adds nothing but a fixed-offset copy of secret material.
-  Sha256 h;
-  h.update(key.data(), key.size());
-  h.update("seal-mac-v2");
-  h.update(blob.mr_enclave.data(), blob.mr_enclave.size());
+  Sha256 h = id.mac_prefix;
   update_le64(h, blob.iv.size());
   h.update(blob.iv.data(), blob.iv.size());
   update_le64(h, blob.ciphertext.size());
@@ -122,9 +130,9 @@ SealedBlob SealingPlatform::seal(const Enclave& enclave,
                  static_cast<std::uint8_t>(i * 37);
   }
   blob.ciphertext = plaintext;
-  const Sha256::Digest key = derive_key(blob.mr_enclave);
-  apply_keystream(key, blob.iv, blob.ciphertext);
-  blob.mac = compute_mac(key, blob);
+  const Identity& id = identity(blob.mr_enclave);
+  apply_keystream(id.key, blob.iv, blob.ciphertext);
+  blob.mac = compute_mac(id, blob);
   return blob;
 }
 
@@ -134,12 +142,12 @@ std::vector<std::uint8_t> SealingPlatform::unseal(const Enclave& enclave,
     throw SecurityFault(
         "unseal: blob sealed to a different enclave identity");
   }
-  const Sha256::Digest key = derive_key(blob.mr_enclave);
-  if (compute_mac(key, blob) != blob.mac) {
+  const Identity& id = identity(blob.mr_enclave);
+  if (compute_mac(id, blob) != blob.mac) {
     throw SecurityFault("unseal: sealed blob failed authentication");
   }
   std::vector<std::uint8_t> plaintext = blob.ciphertext;
-  apply_keystream(key, blob.iv, plaintext);
+  apply_keystream(id.key, blob.iv, plaintext);
   return plaintext;
 }
 

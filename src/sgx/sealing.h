@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,14 +51,28 @@ class SealingPlatform {
                                    const SealedBlob& blob) const;
 
  private:
-  Sha256::Digest derive_key(const Sha256::Digest& mr_enclave) const;
-  Sha256::Digest compute_mac(const Sha256::Digest& key,
-                             const SealedBlob& blob) const;
+  // Everything sealing derives from (platform secret, MRENCLAVE) alone:
+  // the seal key, and the MAC hash after absorbing its fixed prefix
+  // key || "seal-mac-v2" || MRENCLAVE.
+  struct Identity {
+    Sha256::Digest mr_enclave{};
+    Sha256::Digest key{};
+    Sha256 mac_prefix;
+  };
+
+  // The identity for `mr_enclave`, from the memo when the full
+  // measurement matches the last one used, else recomputed (and
+  // memoized). The memo is a pure cache: sealed bytes never depend on it.
+  const Identity& identity(const Sha256::Digest& mr_enclave) const;
+  static Sha256::Digest compute_mac(const Identity& id,
+                                    const SealedBlob& blob);
   static void apply_keystream(const Sha256::Digest& key,
                               const std::vector<std::uint8_t>& iv,
                               std::vector<std::uint8_t>& data);
 
   std::string platform_secret_;
+  // Not synchronized: a platform is used from one thread at a time.
+  mutable std::optional<Identity> memo_;
 };
 
 }  // namespace msv::sgx

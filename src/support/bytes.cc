@@ -39,6 +39,9 @@ double ByteReader::get_f64() {
 
 void ByteReader::get_bytes(void* p, std::size_t n) {
   need(n);
+  // An empty destination (say, an empty vector's data()) may be null,
+  // and memcpy's pointers must never be, even for zero bytes.
+  if (n == 0) return;
   std::memcpy(p, data_ + pos_, n);
   pos_ += n;
 }

@@ -221,5 +221,45 @@ TEST(Parser, GreaterThanSwapsOperandsCorrectly) {
   EXPECT_EQ(run_main_native(source).as_i32(), 101);
 }
 
+// main's body block is nesting level 1 and its return expression level 2,
+// so `parens` nested (1 + (...)) groups reach depth 2 + parens.
+std::string nested_sum_program(int parens) {
+  std::string expr = "1";
+  for (int i = 0; i < parens; ++i) expr = "1 + (" + expr + ")";
+  return "class Main { static method main() { return " + expr +
+         "; } }\nmain Main;\n";
+}
+
+TEST(Parser, DeepNestingRejectedWithTypedError) {
+  // Each of these used to recurse once per level until the stack ran out.
+  const std::string parens = "class Main { static method main() { return " +
+                             std::string(20000, '(') + "1" +
+                             std::string(20000, ')') + "; } }\nmain Main;\n";
+  const std::string prefix = "class Main { static method main() { return " +
+                             std::string(20000, '-') + "1; } }\nmain Main;\n";
+  std::string blocks = "class Main { static method main() { ";
+  for (int i = 0; i < 20000; ++i) blocks += "if (true) { ";
+  blocks += "x = 1;";
+  for (int i = 0; i < 20000; ++i) blocks += " }";
+  blocks += " return 0; } }\nmain Main;\n";
+  for (const std::string& source : {parens, prefix, blocks}) {
+    try {
+      parse_program(source);
+      ADD_FAILURE() << "deep input compiled";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Parser, NestingAtTheLimitStillCompiles) {
+  const int at_limit = kMaxNesting - 2;
+  EXPECT_EQ(run_main_native(nested_sum_program(at_limit)).as_i32(),
+            at_limit + 1);
+  EXPECT_THROW(parse_program(nested_sum_program(at_limit + 1)), ParseError);
+}
+
 }  // namespace
 }  // namespace msv::dsl

@@ -173,6 +173,54 @@ TEST_F(SealingTest, FuzzCorpusNoBitFlipSurvivesToPlaintext) {
   }
 }
 
+TEST_F(SealingTest, IdentityMemoNeverChangesSealedBytes) {
+  // One platform alternating between two identities (a memo miss on
+  // every call) must produce exactly the bytes fresh platforms do.
+  const auto plain_a = bytes("tenant a checkpoint");
+  const auto plain_b = bytes("tenant b checkpoint, a little longer than a");
+  for (std::uint64_t iv = 1; iv <= 6; ++iv) {
+    const bool a_turn = iv % 2 == 1;
+    const Enclave& enc = a_turn ? enclave_ : other_;
+    const auto& plain = a_turn ? plain_a : plain_b;
+    const SealedBlob warm = platform_.seal(enc, plain, iv);
+    const SealedBlob fresh = SealingPlatform("fuse-key").seal(enc, plain, iv);
+    EXPECT_EQ(warm.serialize(), fresh.serialize()) << "iv " << iv;
+    EXPECT_EQ(platform_.unseal(enc, fresh), plain) << "iv " << iv;
+    EXPECT_EQ(SealingPlatform("fuse-key").unseal(enc, warm), plain);
+  }
+  // Repeated sealing for one identity (memo hits) matches too.
+  for (std::uint64_t iv = 10; iv < 13; ++iv) {
+    EXPECT_EQ(platform_.seal(enclave_, plain_a, iv).serialize(),
+              SealingPlatform("fuse-key").seal(enclave_, plain_a, iv)
+                  .serialize());
+  }
+}
+
+TEST_F(SealingTest, WarmMemoStillRejectsTamperAndWrongEnclave) {
+  const auto blob = platform_.seal(enclave_, bytes("warm secret"), 7);
+  ASSERT_EQ(platform_.unseal(enclave_, blob), bytes("warm secret"));
+  // The memo now holds enclave_'s key and MAC prefix.
+  for (std::size_t i = 0; i < blob.ciphertext.size(); ++i) {
+    SealedBlob flipped = blob;
+    flipped.ciphertext[i] ^= 0x01;
+    EXPECT_THROW(platform_.unseal(enclave_, flipped), SecurityFault) << i;
+  }
+  SealedBlob bad_iv = blob;
+  bad_iv.iv[0] ^= 0x80;
+  EXPECT_THROW(platform_.unseal(enclave_, bad_iv), SecurityFault);
+  SealedBlob bad_mac = blob;
+  bad_mac.mac[31] ^= 0x01;
+  EXPECT_THROW(platform_.unseal(enclave_, bad_mac), SecurityFault);
+  EXPECT_THROW(platform_.unseal(other_, blob), SecurityFault);
+  // A blob relabelled to the other identity fails its MAC even after
+  // the memo has switched to that identity.
+  ASSERT_NO_THROW(platform_.seal(other_, bytes("x"), 8));
+  SealedBlob relabelled = blob;
+  relabelled.mr_enclave = other_.measurement();
+  EXPECT_THROW(platform_.unseal(other_, relabelled), SecurityFault);
+  EXPECT_EQ(platform_.unseal(enclave_, blob), bytes("warm secret"));
+}
+
 TEST_F(SealingTest, GoldenBlobIsByteStable) {
   // Pins the wire format and the keystream/MAC endianness: a blob sealed
   // today must unseal under every future build (and on every host

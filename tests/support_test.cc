@@ -1,6 +1,9 @@
 // Tests for src/support: clock/timers, byte buffers, hashes, stats, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "support/bytes.h"
 #include "support/clock.h"
 #include "support/error.h"
@@ -246,6 +249,105 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   h.update("c");
   EXPECT_EQ(Sha256::hex(h.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256, FipsTwoBlockAndMillionA) {
+  // FIPS 180-4 / NIST CSRC examples: the 896-bit message needs a second
+  // block for its length, and 10^6 'a' crosses 15625 block boundaries.
+  EXPECT_EQ(Sha256::hex(Sha256::hash(
+                "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(Sha256::hex(Sha256::hash(std::string(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// FIPS 180-4 §5.1.1 padding written out by hand and compressed with the
+// portable block loop: an oracle independent of Sha256::finish().
+Sha256::Digest reference_digest(const std::string& msg) {
+  std::string padded = msg;
+  padded.push_back(static_cast<char>(0x80));
+  while (padded.size() % 64 != 56) padded.push_back('\0');
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<char>(bits >> (8 * i)));
+  }
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  sha256_internal::block_portable(
+      state, reinterpret_cast<const std::uint8_t*>(padded.data()),
+      padded.size() / 64);
+  Sha256::Digest d;
+  for (int i = 0; i < 32; ++i) {
+    d[i] = static_cast<std::uint8_t>(state[i / 4] >> (8 * (3 - i % 4)));
+  }
+  return d;
+}
+
+TEST(Sha256, EveryLengthAnyChunkingMatchesOneShot) {
+  // Lengths 0..256 cover every padding case, including the 55/56 and
+  // 63/64 byte boundaries where the length spills into a second block.
+  Rng rng(0x5ead);
+  for (std::size_t len = 0; len <= 256; ++len) {
+    std::string msg(len, '\0');
+    for (char& c : msg) c = static_cast<char>(rng.next_below(256));
+    const Sha256::Digest one_shot = Sha256::hash(msg);
+    ASSERT_EQ(one_shot, reference_digest(msg)) << "length " << len;
+    for (int trial = 0; trial < 4; ++trial) {
+      Sha256 h;
+      std::size_t pos = 0;
+      while (pos < len) {
+        const std::size_t take =
+            std::min<std::size_t>(len - pos, rng.next_below(80));
+        h.update(msg.data() + pos, take);
+        pos += take;
+      }
+      ASSERT_EQ(h.finish(), one_shot) << "length " << len << " trial "
+                                      << trial;
+    }
+  }
+}
+
+TEST(Sha256, CopiedMidstateContinuesIdentically) {
+  const std::string prefix(75, 'p');  // one block plus a partial buffer
+  Sha256 base;
+  base.update(prefix);
+  for (const std::string suffix : {"", "x", "a longer suffix that spans "
+                                           "the rest of the block and more"}) {
+    Sha256 copy = base;
+    copy.update(suffix);
+    EXPECT_EQ(copy.finish(), Sha256::hash(prefix + suffix)) << suffix;
+  }
+  // The copies left the original untouched.
+  EXPECT_EQ(base.finish(), Sha256::hash(prefix));
+}
+
+TEST(Sha256, ShaNiBlockMatchesPortable) {
+  const sha256_internal::BlockFn shani = sha256_internal::block_shani();
+  if (shani == nullptr) {
+    EXPECT_EQ(sha256_internal::block_selected(),
+              &sha256_internal::block_portable);
+    GTEST_SKIP() << "CPU lacks SHA-NI (CPUID.7.EBX[29]) or SSSE3/SSE4.1";
+  }
+  EXPECT_EQ(sha256_internal::block_selected(), shani);
+  Rng rng(0x51a);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t nblocks = 1 + rng.next_below(3);
+    std::uint8_t blocks[3 * 64];
+    for (std::size_t i = 0; i < nblocks * 64; ++i) {
+      blocks[i] = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    std::uint32_t expect[8];
+    std::uint32_t got[8];
+    for (int i = 0; i < 8; ++i) {
+      expect[i] = got[i] = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    sha256_internal::block_portable(expect, blocks, nblocks);
+    shani(got, blocks, nblocks);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(got[i], expect[i]) << "trial " << trial << " word " << i;
+    }
+  }
 }
 
 TEST(Fnv, KnownValues) {

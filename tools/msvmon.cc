@@ -37,7 +37,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Minimal recursive-descent JSON reader (objects, arrays, strings, numbers,
 // bools, null). The bundle is machine-written and escaped by flight.cc, so
-// the reader is strict: any deviation is a parse error.
+// the reader is strict: any deviation is a parse error. Nesting is bounded
+// (kMaxJsonDepth), which bounds the recursion of both the parse and the
+// JsonValue destructor: a hostile [[[...]]] file is a parse error, not a
+// stack overflow.
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -65,6 +68,9 @@ struct JsonValue {
     return v != nullptr && v->kind == Kind::kNumber ? v->number : 0;
   }
 };
+
+// Bundles nest about five levels deep; the limit leaves ample headroom.
+constexpr int kMaxJsonDepth = 64;
 
 class JsonParser {
  public:
@@ -98,8 +104,15 @@ class JsonParser {
   bool parse_value(JsonValue& out) {
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     const char c = s_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.kind = JsonValue::Kind::kString;
       return parse_string(out.str);
@@ -253,6 +266,7 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 
