@@ -27,7 +27,8 @@ Heap::Heap(Env& env, MemoryDomain& domain, HandleTable& handles,
       config_(std::move(config)),
       semi_bytes_(config_.max_bytes / 2),
       region_a_(domain.register_region(config_.name + "/semispace-a")),
-      region_b_(domain.register_region(config_.name + "/semispace-b")) {
+      region_b_(domain.register_region(config_.name + "/semispace-b")),
+      name_hash_(fnv1a32(config_.name)) {
   MSV_CHECK_MSG(semi_bytes_ >= 4096, "heap too small to be usable");
 }
 
@@ -63,7 +64,7 @@ std::uint32_t Heap::next_identity_hash() {
   std::uint32_t h = 0;
   while (h == 0) {
     ++hash_counter_;
-    h = fnv1a32(config_.name) ^
+    h = name_hash_ ^
         static_cast<std::uint32_t>(
             fnv1a64(&hash_counter_, sizeof(hash_counter_)));
   }

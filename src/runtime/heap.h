@@ -123,6 +123,9 @@ class Heap {
   std::uint64_t semi_bytes_;
   std::uint64_t region_a_;
   std::uint64_t region_b_;
+  // fnv1a32(config_.name): the per-heap half of every identity hash,
+  // computed once instead of on every allocation.
+  std::uint32_t name_hash_;
 
   std::vector<std::uint8_t> a_;
   std::vector<std::uint8_t> b_;

@@ -45,6 +45,9 @@ void EpcModel::access(std::uint64_t region, std::uint64_t page) {
   // left the resident count physically over capacity indefinitely.
   drain_to_capacity(0);
   const Key key = make_key(region, page);
+  // A touch of the most-recently-used page (consecutive objects on one
+  // page) is a hit whose splice would be a no-op: skip the lookup.
+  if (!lru_.empty() && lru_.front() == key) return;
   const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace msv {
@@ -36,7 +35,18 @@ class VirtualClock {
   // Advances time by `c` cycles, firing any timers that become due. Timer
   // callbacks run with the clock set to their exact deadline, so a periodic
   // timer observes evenly spaced instants regardless of advance granularity.
-  void advance(Cycles c);
+  //
+  // Fast path: attached, and the target instant lies strictly before the
+  // earliest queued deadline — no timer can fire and the slow path would
+  // only assign now_ = target, so this assigns it directly.
+  void advance(Cycles c) {
+    const Cycles target = now_ + c;
+    if (detached_depth_ == 0 && target >= now_ && target < next_deadline_) {
+      now_ = target;
+      return;
+    }
+    advance_slow(c);
+  }
 
   // Runs `fn` with the clock detached: every advance() it performs is
   // accumulated and returned instead of moving now() (timers do not fire).
@@ -55,32 +65,42 @@ class VirtualClock {
   // The callback keeps firing until cancelled.
   std::uint64_t schedule_every(Cycles period, std::function<void()> fn);
 
+  // Cancels a queued timer. A no-op for an id that is not queued: a
+  // one-shot timer that already fired, or an id cancelled before.
   void cancel(std::uint64_t timer_id);
 
   // Number of timers currently scheduled (periodic timers count once).
-  std::size_t pending_timers() const;
+  std::size_t pending_timers() const { return timers_.size() - cancelled_; }
 
  private:
   struct Timer {
     Cycles deadline;
     std::uint64_t id;
     Cycles period;  // 0 for one-shot
+    bool cancelled = false;
     std::function<void()> fn;
     bool operator>(const Timer& o) const {
       return deadline != o.deadline ? deadline > o.deadline : id > o.id;
     }
   };
 
+  void advance_slow(Cycles c);
+  void push_timer(Timer t);
+  Timer pop_timer();
+
   double hz_;
   Cycles now_ = 0;
   std::uint32_t detached_depth_ = 0;
   Cycles detached_total_ = 0;
   std::uint64_t next_id_ = 1;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  std::vector<std::uint64_t> cancelled_;
-  bool firing_ = false;
-
-  bool is_cancelled(std::uint64_t id) const;
+  // Min-heap on (deadline, id) — a total order, so the firing order does
+  // not depend on the heap layout.
+  std::vector<Timer> timers_;
+  // Deadline of timers_.front() (cancelled or not), or the maximum when
+  // the queue is empty; refreshed on every push and pop.
+  Cycles next_deadline_ = ~Cycles{0};
+  // Queued timers marked cancelled, dropped when they reach the front.
+  std::size_t cancelled_ = 0;
 };
 
 }  // namespace msv

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "apps/illustrative/bank.h"
 #include "apps/paldb/store.h"
@@ -175,6 +176,13 @@ struct PaldbParam {
   std::uint64_t seed;
   int keys;
 };
+
+// gtest names each sweep entry after the printed parameter; without this
+// it prints the raw struct bytes, padding included, so the names changed
+// from run to run.
+void PrintTo(const PaldbParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_keys" << p.keys;
+}
 
 class PaldbFuzz : public ::testing::TestWithParam<PaldbParam> {};
 

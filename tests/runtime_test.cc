@@ -2,8 +2,12 @@
 // isolates and value conversion.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "runtime/churn.h"
 #include "runtime/isolate.h"
 #include "sgx/enclave.h"
 #include "sim/domain.h"
@@ -155,6 +159,95 @@ TEST_F(RuntimeTest, OutOfMemoryWhenLiveSetTooLarge) {
         }
       },
       OutOfMemoryError);
+}
+
+TEST_F(RuntimeTest, IdentityHashesAreGolden) {
+  // The paper's default proxy hash (§5.2) is the identity hash; these are
+  // the first eight a heap named "golden" hands out.
+  UntrustedDomain domain(env_);
+  Isolate iso(env_, domain, Isolate::Config{"golden", 64 << 10});
+  const std::vector<std::uint32_t> expected = {
+      0x509dfa20u, 0x5d3c2053u, 0xe3067dc2u, 0x53f28cf5u,
+      0xf9c4c864u, 0xe6673797u, 0x8c297306u, 0x587e5539u};
+  for (const std::uint32_t want : expected) {
+    EXPECT_EQ(iso.heap().identity_hash(iso.heap().alloc_string("x")), want);
+  }
+}
+
+// alloc_churn's window as a FIFO of GcRefs — the shape it had before it
+// held raw handle slots — kept as the oracle for slot and layout order.
+void deque_churn(Isolate& iso, std::uint64_t total_bytes,
+                 std::uint64_t window_bytes, std::uint32_t payload_bytes) {
+  const std::string payload(payload_bytes, 's');
+  const std::uint64_t box_total =
+      sizeof(ObjectHeader) + ((payload_bytes + 7ull) & ~7ull);
+  const std::uint64_t live =
+      std::max<std::uint64_t>(1, window_bytes / box_total);
+  std::deque<GcRef> window;
+  for (std::uint64_t i = 0; i < total_bytes / box_total; ++i) {
+    window.push_back(iso.make_ref(iso.heap().alloc_string(payload)));
+    if (window.size() > live) window.pop_front();
+  }
+}
+
+// One isolate with a few pinned objects and a non-trivial handle free
+// list, so slot reuse order is visible.
+struct ChurnSide {
+  explicit ChurnSide(std::uint64_t heap_bytes)
+      : domain(env), iso(env, domain, Isolate::Config{"churn", heap_bytes}) {
+    for (int i = 0; i < 6; ++i) {
+      pins.push_back(iso.make_ref(iso.heap().alloc_string("pin")));
+    }
+    pins.erase(pins.begin() + 3);
+    pins.erase(pins.begin() + 1);
+  }
+
+  // What the churn leaves behind: clock, heap counters, the pinned
+  // objects' addresses and hashes, and the next slots the table hands out.
+  std::vector<std::uint64_t> fingerprint() {
+    std::vector<std::uint64_t> f = {env.clock.now(),
+                                    iso.heap().used_bytes(),
+                                    iso.heap().stats().gc_count,
+                                    iso.heap().stats().copied_bytes_total,
+                                    iso.handles().live()};
+    for (const GcRef& p : pins) {
+      f.push_back(p.address());
+      f.push_back(iso.heap().identity_hash(p.address()));
+    }
+    for (int i = 0; i < 64; ++i) f.push_back(iso.handles().create(8));
+    return f;
+  }
+
+  Env env;
+  UntrustedDomain domain;
+  Isolate iso;
+  std::vector<GcRef> pins;
+};
+
+TEST_F(RuntimeTest, ChurnSlotOrderMatchesGcRefWindow) {
+  ChurnSide oracle(64 << 10);
+  ChurnSide churn(64 << 10);
+  const std::size_t live_before = churn.iso.handles().live();
+  deque_churn(oracle.iso, 200 << 10, 8 << 10, 24);
+  const auto r = alloc_churn(churn.iso, 200 << 10, 8 << 10, 24);
+  EXPECT_EQ(r.allocations, (200u << 10) / (sizeof(ObjectHeader) + 24));
+  EXPECT_GT(churn.iso.heap().stats().gc_count, 0u);
+  EXPECT_EQ(churn.iso.handles().live(), live_before);
+  EXPECT_EQ(churn.fingerprint(), oracle.fingerprint());
+}
+
+TEST_F(RuntimeTest, ChurnOutOfMemoryReleasesWindowInOrder) {
+  // A 64 KiB window cannot fit a 32 KiB semispace: the churn throws
+  // mid-way and must unwind every slot it held, front to back.
+  ChurnSide oracle(64 << 10);
+  ChurnSide churn(64 << 10);
+  const std::size_t live_before = churn.iso.handles().live();
+  EXPECT_THROW(deque_churn(oracle.iso, 256 << 10, 64 << 10, 24),
+               OutOfMemoryError);
+  EXPECT_THROW(alloc_churn(churn.iso, 256 << 10, 64 << 10, 24),
+               OutOfMemoryError);
+  EXPECT_EQ(churn.iso.handles().live(), live_before);
+  EXPECT_EQ(churn.fingerprint(), oracle.fingerprint());
 }
 
 TEST_F(RuntimeTest, WeakRefClearedWhenReferentDies) {

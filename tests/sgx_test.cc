@@ -33,6 +33,45 @@ TEST(Epc, HitsAreFree) {
   EXPECT_EQ(epc.stats().accesses, 2u);
 }
 
+TEST(Epc, RepeatedMruTouchesCountButChargeNothing) {
+  Env env;
+  EpcModel epc(env);
+  epc.access(1, 3);
+  epc.access(1, 4);  // page 4 is now MRU
+  const Cycles after_faults = env.clock.now();
+  for (int i = 0; i < 5; ++i) epc.access(1, 4);
+  EXPECT_EQ(env.clock.now(), after_faults);
+  EXPECT_EQ(epc.stats().accesses, 7u);
+  EXPECT_EQ(epc.stats().faults, 2u);
+  EXPECT_EQ(epc.resident_pages(), 2u);
+  // Page 3 stayed second: touching it is still a hit.
+  epc.access(1, 3);
+  EXPECT_EQ(env.clock.now(), after_faults);
+  EXPECT_EQ(epc.stats().faults, 2u);
+}
+
+TEST(Epc, ShrinkThenMruTouchChargesLazyEvictionOnce) {
+  // The MRU early return sits after the pressure drain: a touch of the
+  // page already at the front still pays the deferred page-outs.
+  Env env;
+  env.cost.epc_usable_bytes = 8 * env.cost.page_bytes;
+  EpcModel epc(env);
+  for (std::uint64_t p = 0; p < 8; ++p) epc.access(1, p);
+  epc.access(1, 7);  // MRU hit
+  epc.set_limit(3);
+  const Cycles before = env.clock.now();
+  epc.access(1, 7);
+  EXPECT_EQ(env.clock.now() - before, 5 * env.cost.epc_page_out_cycles);
+  EXPECT_EQ(epc.stats().evictions, 5u);
+  EXPECT_EQ(epc.resident_pages(), 3u);
+  const Cycles drained = env.clock.now();
+  epc.access(1, 7);
+  EXPECT_EQ(env.clock.now(), drained);
+  EXPECT_EQ(epc.stats().evictions, 5u);
+  EXPECT_EQ(epc.stats().accesses, 11u);
+  EXPECT_TRUE(epc.stats_reconcile());
+}
+
 TEST(Epc, MissChargesPageIn) {
   Env env;
   EpcModel epc(env);

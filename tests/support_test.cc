@@ -90,6 +90,115 @@ TEST(VirtualClock, TimerCanScheduleAnotherTimer) {
   EXPECT_TRUE(second_fired);
 }
 
+TEST(VirtualClock, TimerDueExactlyAtTargetFires) {
+  VirtualClock clock(1e9);
+  clock.advance(40);
+  Cycles fired_at = 0;
+  clock.schedule_at(100, [&] { fired_at = clock.now(); });
+  clock.advance(59);
+  EXPECT_EQ(fired_at, 0u);
+  clock.advance(1);  // now() + c lands exactly on the deadline
+  EXPECT_EQ(fired_at, 100u);
+  EXPECT_EQ(clock.now(), 100u);
+  EXPECT_EQ(clock.pending_timers(), 0u);
+}
+
+TEST(VirtualClock, CallbackSchedulingEarlierTimerFiresOnTime) {
+  // The callback queues a timer ahead of the next pending deadline (1000);
+  // a later advance that stops short of 1000 but passes 150 must fire it.
+  VirtualClock clock(1e9);
+  std::vector<Cycles> instants;
+  clock.schedule_at(1000, [&] { instants.push_back(clock.now()); });
+  clock.schedule_at(100, [&] {
+    clock.schedule_at(clock.now() + 50,
+                      [&] { instants.push_back(clock.now()); });
+  });
+  clock.advance(120);
+  EXPECT_TRUE(instants.empty());
+  clock.advance(40);
+  EXPECT_EQ(instants, (std::vector<Cycles>{150}));
+  EXPECT_EQ(clock.now(), 160u);
+  clock.advance(840);
+  EXPECT_EQ(instants, (std::vector<Cycles>{150, 1000}));
+}
+
+TEST(VirtualClock, ScheduleInsideMeasureDetachedFiresAfterwards) {
+  VirtualClock clock(1e9);
+  clock.advance(500);
+  Cycles fired_at = 0;
+  const Cycles charged = clock.measure_detached([&] {
+    clock.schedule_at(clock.now() + 10, [&] { fired_at = clock.now(); });
+    clock.advance(100);  // detached: accumulated, no timer fires
+  });
+  EXPECT_EQ(charged, 100u);
+  EXPECT_EQ(clock.now(), 500u);
+  EXPECT_EQ(fired_at, 0u);
+  EXPECT_EQ(clock.pending_timers(), 1u);
+  clock.advance(10);
+  EXPECT_EQ(fired_at, 510u);
+  EXPECT_EQ(clock.pending_timers(), 0u);
+}
+
+TEST(VirtualClock, CancelOfFiredOneShotIsNoOp) {
+  // Regression: the cancel used to be recorded even for an id no longer
+  // queued, so pending_timers() underflowed to SIZE_MAX.
+  VirtualClock clock(1e9);
+  int fires = 0;
+  const auto id = clock.schedule_at(10, [&] { ++fires; });
+  clock.advance(20);
+  ASSERT_EQ(fires, 1);
+  clock.cancel(id);
+  EXPECT_EQ(clock.pending_timers(), 0u);
+  clock.schedule_at(30, [&] { ++fires; });
+  EXPECT_EQ(clock.pending_timers(), 1u);
+  clock.advance(20);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(clock.pending_timers(), 0u);
+}
+
+TEST(VirtualClock, DoubleCancelIsNoOp) {
+  VirtualClock clock(1e9);
+  int fires = 0;
+  const auto a = clock.schedule_at(10, [&] { ++fires; });
+  clock.schedule_at(20, [&] { ++fires; });
+  clock.cancel(a);
+  clock.cancel(a);
+  EXPECT_EQ(clock.pending_timers(), 1u);
+  clock.advance(30);
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(clock.pending_timers(), 0u);
+}
+
+TEST(VirtualClock, CancelledEarliestTimerDoesNotHideNextOne) {
+  VirtualClock clock(1e9);
+  std::vector<int> fired;
+  const auto first = clock.schedule_at(100, [&] { fired.push_back(1); });
+  clock.schedule_at(200, [&] { fired.push_back(2); });
+  clock.cancel(first);
+  clock.advance(150);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(clock.pending_timers(), 1u);
+  clock.advance(49);
+  EXPECT_TRUE(fired.empty());
+  clock.advance(1);
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(clock.pending_timers(), 0u);
+}
+
+TEST(VirtualClock, PeriodicTimerCanCancelItself) {
+  VirtualClock clock(1e9);
+  int fires = 0;
+  std::uint64_t id = 0;
+  id = clock.schedule_every(10, [&] {
+    if (++fires == 3) clock.cancel(id);
+  });
+  clock.advance(100);
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(clock.pending_timers(), 0u);
+  clock.cancel(id);
+  EXPECT_EQ(clock.pending_timers(), 0u);
+}
+
 TEST(VirtualClock, PastDeadlineThrows) {
   VirtualClock clock(1e9);
   clock.advance(100);
