@@ -122,9 +122,11 @@ FleetRunResult run_fleet(const FleetScenario& sc,
                  spec.mean_interarrival_cycles;
     pc.fleet_shards = sc.shards;
     pc.shard_losses = sc.shard_losses;
+    // Bind the generated plan: iterating generate(pc).events() directly
+    // would walk a reference into a destroyed temporary.
+    const faults::FaultPlan generated = faults::FaultPlan::generate(pc);
     faults::FaultPlan plan;
-    for (faults::FaultEvent e :
-         faults::FaultPlan::generate(pc).events()) {
+    for (faults::FaultEvent e : generated.events()) {
       e.at += run_start;
       plan.add(e);
     }

@@ -136,22 +136,14 @@ RefDecoder MultiIsolateRuntime::make_ref_decoder(SideState& s,
 GcRef MultiIsolateRuntime::materialize_proxy(SideState& s, std::int64_t hash,
                                              const std::string& class_name,
                                              std::uint32_t owner_id) {
-  const auto it = s.proxy_by_hash.find(hash);
-  if (it != s.proxy_by_hash.end()) {
-    const rt::WeakEntry& e = s.ctx.isolate().weak_refs().entry(it->second);
-    if (e.target != rt::kNullAddr &&
-        e.payload == static_cast<std::uint64_t>(hash)) {
-      return s.ctx.isolate().make_ref(e.target);
-    }
-  }
+  const rt::ObjAddr live = s.proxies.find_live(hash);
+  if (live != rt::kNullAddr) return s.ctx.isolate().make_ref(live);
   const ClassDecl& cls = s.ctx.classes().cls(class_name);
   MSV_CHECK_MSG(cls.is_proxy(), "materializing a non-proxy class");
   const GcRef proxy =
       s.ctx.isolate().new_instance(s.ctx.class_id(class_name), 1);
   s.ctx.isolate().set_field(proxy, 0, Value(hash));
-  const std::uint32_t weak_index = s.ctx.isolate().weak_refs().add(
-      proxy.address(), static_cast<std::uint64_t>(hash));
-  s.proxy_by_hash[hash] = weak_index;
+  s.proxies.add(proxy.address(), hash);
   if (&s == untrusted_.get()) {
     hash_owner_[hash] = owner_id;
     hash_epoch_[hash] = bridge_.enclave().epoch();
@@ -187,9 +179,7 @@ void MultiIsolateRuntime::fence_proxies() {
 void MultiIsolateRuntime::on_enclave_restart() {
   for (auto& s : trusted_) {
     s->registry.clear();
-    s->proxy_by_hash.clear();
-    s->ctx.isolate().weak_refs().remove_if(
-        [](const rt::WeakEntry&) { return true; });
+    s->proxies.clear();
   }
   // Untrusted mirrors were pinned only for the benefit of in-enclave
   // proxies, all of which died with the heap.
@@ -234,9 +224,7 @@ rt::Value MultiIsolateRuntime::do_construct(SideState& from,
   const std::int64_t hash = from.hasher.next(
       from.ctx.isolate().heap().identity_hash(proxy.address()));
   from.ctx.isolate().set_field(proxy, 0, Value(hash));
-  const std::uint32_t weak_index = from.ctx.isolate().weak_refs().add(
-      proxy.address(), static_cast<std::uint64_t>(hash));
-  from.proxy_by_hash[hash] = weak_index;
+  from.proxies.add(proxy.address(), hash);
   if (&from == untrusted_.get()) {
     hash_owner_[hash] = target_id;
     hash_epoch_[hash] = bridge_.enclave().epoch();
@@ -542,20 +530,7 @@ void MultiIsolateRuntime::register_handlers() {
     // The in-enclave helper of one isolate scans and evicts outward.
     SideState& s = state_by_id(in.get_u32());
     std::vector<std::int64_t> dead;
-    s.ctx.isolate().weak_refs().remove_if([&](const rt::WeakEntry& e) {
-      if (e.was_set && e.target == rt::kNullAddr) {
-        dead.push_back(static_cast<std::int64_t>(e.payload));
-        return true;
-      }
-      return false;
-    });
-    s.proxy_by_hash.clear();
-    for (std::uint32_t i = 0; i < s.ctx.isolate().weak_refs().size(); ++i) {
-      const rt::WeakEntry& e = s.ctx.isolate().weak_refs().entry(i);
-      if (e.target != rt::kNullAddr) {
-        s.proxy_by_hash[static_cast<std::int64_t>(e.payload)] = i;
-      }
-    }
+    s.proxies.sweep([&](std::int64_t hash) { dead.push_back(hash); });
     if (!dead.empty()) {
       ByteBuffer payload;
       payload.put_varint(dead.size());
@@ -589,26 +564,14 @@ void MultiIsolateRuntime::force_gc_scan() {
   MSV_CHECK_MSG(bridge_.side() == Side::kUntrusted,
                 "GC helpers pump from the top level");
   // Untrusted helper: collect dead proxies and evict per owning isolate.
-  rt::WeakRefTable& weak = untrusted_->ctx.isolate().weak_refs();
-  env_.clock.advance(weak.size() * env_.cost.weakref_scan_entry_cycles);
+  env_.clock.advance(untrusted_->ctx.isolate().weak_refs().size() *
+                     env_.cost.weakref_scan_entry_cycles);
   std::unordered_map<std::uint32_t, std::vector<std::int64_t>> dead_by_owner;
-  weak.remove_if([&](const rt::WeakEntry& e) {
-    if (e.was_set && e.target == rt::kNullAddr) {
-      const auto hash = static_cast<std::int64_t>(e.payload);
-      dead_by_owner[hash_owner_.at(hash)].push_back(hash);
-      hash_owner_.erase(hash);
-      hash_epoch_.erase(hash);
-      return true;
-    }
-    return false;
+  untrusted_->proxies.sweep([&](std::int64_t hash) {
+    dead_by_owner[hash_owner_.at(hash)].push_back(hash);
+    hash_owner_.erase(hash);
+    hash_epoch_.erase(hash);
   });
-  untrusted_->proxy_by_hash.clear();
-  for (std::uint32_t i = 0; i < weak.size(); ++i) {
-    const rt::WeakEntry& e = weak.entry(i);
-    if (e.target != rt::kNullAddr) {
-      untrusted_->proxy_by_hash[static_cast<std::int64_t>(e.payload)] = i;
-    }
-  }
   for (const auto& [owner, hashes] : dead_by_owner) {
     ByteBuffer payload;
     payload.put_u32(owner);

@@ -29,6 +29,7 @@
 #include "interp/remote.h"
 #include "rmi/batch.h"
 #include "rmi/hasher.h"
+#include "rmi/proxy_index.h"
 #include "rmi/registry.h"
 #include "rmi/wire.h"
 #include "sgx/bridge.h"
@@ -136,12 +137,15 @@ class MultiIsolateRuntime final : public interp::RemoteInvoker {
   struct SideState {
     SideState(interp::ExecContext& c, HashScheme scheme,
               const std::string& domain)
-        : ctx(c), registry(c.isolate()), hasher(scheme, domain) {}
+        : ctx(c),
+          registry(c.isolate()),
+          hasher(scheme, domain),
+          proxies(c.isolate().weak_refs()) {}
 
     interp::ExecContext& ctx;
     MirrorProxyRegistry registry;
     ProxyHasher hasher;
-    std::unordered_map<std::int64_t, std::uint32_t> proxy_by_hash;
+    ProxyIndex proxies;
   };
 
   SideState& state_of(interp::ExecContext& ctx);

@@ -148,23 +148,15 @@ GcRef ProxyRuntime::materialize_proxy(SideState& s, std::int64_t hash,
   // Reuse the live proxy for this hash if there is one: each mirror must
   // have at most one proxy per runtime or mirror eviction would fire while
   // a twin proxy is still alive.
-  const auto it = s.proxy_by_hash.find(hash);
-  if (it != s.proxy_by_hash.end()) {
-    const rt::WeakEntry& e = s.ctx.isolate().weak_refs().entry(it->second);
-    if (e.target != rt::kNullAddr &&
-        e.payload == static_cast<std::uint64_t>(hash)) {
-      return s.ctx.isolate().make_ref(e.target);
-    }
-  }
+  const rt::ObjAddr live = s.proxies.find_live(hash);
+  if (live != rt::kNullAddr) return s.ctx.isolate().make_ref(live);
   const ClassDecl& cls = s.ctx.classes().cls(class_name);
   MSV_CHECK_MSG(cls.is_proxy(), "materializing a proxy of concrete class " +
                                     class_name + " (image mix-up)");
   const GcRef proxy = s.ctx.isolate().new_instance(s.ctx.class_id(class_name),
                                                    /*field_count=*/1);
   s.ctx.isolate().set_field(proxy, 0, Value(hash));
-  const std::uint32_t weak_index = s.ctx.isolate().weak_refs().add(
-      proxy.address(), static_cast<std::uint64_t>(hash));
-  s.proxy_by_hash[hash] = weak_index;
+  s.proxies.add(proxy.address(), hash);
   ++stats_.proxies_materialized;
   return proxy;
 }
@@ -283,9 +275,7 @@ Value ProxyRuntime::construct_proxy(ExecContext& caller,
   caller.isolate().set_field(proxy, 0, Value(hash));
 
   // GC helper bookkeeping: weak reference + hash (§5.5).
-  const std::uint32_t weak_index = caller.isolate().weak_refs().add(
-      proxy.address(), static_cast<std::uint64_t>(hash));
-  from.proxy_by_hash[hash] = weak_index;
+  from.proxies.add(proxy.address(), hash);
   ++stats_.proxies_created;
 
   // Create the mirror in the opposite runtime.
@@ -830,25 +820,10 @@ void ProxyRuntime::register_handlers() {
 // GC helpers
 
 std::vector<std::int64_t> ProxyRuntime::collect_dead_proxies(SideState& s) {
-  rt::WeakRefTable& weak = s.ctx.isolate().weak_refs();
-  env_.clock.advance(weak.size() * env_.cost.weakref_scan_entry_cycles);
-
+  env_.clock.advance(s.ctx.isolate().weak_refs().size() *
+                     env_.cost.weakref_scan_entry_cycles);
   std::vector<std::int64_t> dead;
-  weak.remove_if([&](const rt::WeakEntry& e) {
-    if (e.was_set && e.target == rt::kNullAddr) {
-      dead.push_back(static_cast<std::int64_t>(e.payload));
-      return true;
-    }
-    return false;
-  });
-  // The table was compacted: weak indices shifted, rebuild the cache.
-  s.proxy_by_hash.clear();
-  for (std::uint32_t i = 0; i < weak.size(); ++i) {
-    const rt::WeakEntry& e = weak.entry(i);
-    if (e.target != rt::kNullAddr) {
-      s.proxy_by_hash[static_cast<std::int64_t>(e.payload)] = i;
-    }
-  }
+  s.proxies.sweep([&](std::int64_t hash) { dead.push_back(hash); });
   ++s.gc_stats.scans;
   s.gc_stats.proxies_collected += dead.size();
   return dead;

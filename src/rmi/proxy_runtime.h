@@ -35,6 +35,7 @@
 #include "interp/remote.h"
 #include "rmi/batch.h"
 #include "rmi/hasher.h"
+#include "rmi/proxy_index.h"
 #include "rmi/registry.h"
 #include "rmi/wire.h"
 #include "sgx/bridge.h"
@@ -160,13 +161,14 @@ class ProxyRuntime final : public interp::RemoteInvoker,
     SideState(interp::ExecContext& c, HashScheme scheme)
         : ctx(c),
           registry(c.isolate()),
-          hasher(scheme, c.isolate().name()) {}
+          hasher(scheme, c.isolate().name()),
+          proxies(c.isolate().weak_refs()) {}
 
     interp::ExecContext& ctx;
     MirrorProxyRegistry registry;
     ProxyHasher hasher;
-    // hash -> weak-table index of the live local proxy for that hash.
-    std::unordered_map<std::int64_t, std::uint32_t> proxy_by_hash;
+    // The local proxies by hash, over the isolate's weak table.
+    ProxyIndex proxies;
     Cycles next_scan = 0;
     GcHelperStats gc_stats;
   };
@@ -259,7 +261,7 @@ class ProxyRuntime final : public interp::RemoteInvoker,
   void do_flush();
 
   // Scans `local`'s weak list; returns the hashes of collected proxies and
-  // compacts the list and the proxy cache.
+  // drops them from the list and the proxy cache.
   std::vector<std::int64_t> collect_dead_proxies(SideState& local);
   void evict_remote(SideState& local, const std::vector<std::int64_t>& dead);
 

@@ -33,43 +33,80 @@ SlotValue Isolate::to_slot(const Value& v) {
   // One frame per open list. Elements convert in order: strings allocate
   // immediately, sublists complete (post-order) before the parent's
   // array is allocated. Each conversion may allocate and collect, so
-  // addresses are only taken while no further allocation happens —
-  // element objects stay alive through the `rooted` Values (GcRef roots
-  // / C++ copies), exactly the old two-pass discipline.
+  // element objects stay alive in raw handle slots until their array is
+  // filled; primitives and refs (rooted by the caller's Values) convert
+  // only at fill time.
+  //
+  // Handle slots are created and released in exactly the order the
+  // earlier walk, which held each element as a GcRef-rooted Value, did:
+  // when a frame pops, its elements' slots are released front to back,
+  // then the parent's slot for the finished array is created, then the
+  // frame's own array slot is released; on an exception the array slot
+  // goes first, then every open frame's elements, outermost frame first.
+  // The handle free list, and with it the root visit order and the heap
+  // layout after every later collection, therefore stay the same.
+  constexpr std::uint32_t kNoHandle = ~0u;
+  struct Element {
+    const Value* value;     // primitive or ref: converted at fill time
+    std::uint32_t handle;   // string or sublist array: its root slot
+  };
   struct Frame {
     const ValueList* input;
-    std::vector<Value> rooted;
-    std::size_t next = 0;
+    std::size_t next;
+    std::size_t base;  // this frame's first entry in `elements`
   };
   std::vector<Frame> stack;
-  stack.push_back({&v.as_list(), {}, 0});
-  stack.back().rooted.reserve(v.as_list().size());
-  while (true) {
-    Frame& f = stack.back();
-    if (f.next < f.input->size()) {
-      const Value& e = (*f.input)[f.next];
-      ++f.next;
-      if (e.type() == ValueType::kString) {
-        f.rooted.emplace_back(make_ref(heap_->alloc_string(e.as_string())));
-      } else if (e.type() == ValueType::kList) {
-        stack.push_back({&e.as_list(), {}, 0});
-        stack.back().rooted.reserve(e.as_list().size());
-      } else {
-        f.rooted.push_back(e);
+  std::vector<Element> elements;
+  std::uint32_t arr_handle = kNoHandle;
+  try {
+    stack.push_back({&v.as_list(), 0, 0});
+    while (true) {
+      Frame& f = stack.back();
+      if (f.next < f.input->size()) {
+        const Value& e = (*f.input)[f.next];
+        ++f.next;
+        if (e.type() == ValueType::kString) {
+          const ObjAddr s = heap_->alloc_string(e.as_string());
+          elements.push_back({nullptr, handles_.create(s)});
+        } else if (e.type() == ValueType::kList) {
+          stack.push_back({&e.as_list(), 0, elements.size()});
+        } else {
+          elements.push_back({&e, kNoHandle});
+        }
+        continue;
       }
-      continue;
+      // Every element rooted: allocate the array and fill it (the fill
+      // converts only primitives and refs — nothing allocates here).
+      const auto n = static_cast<std::uint32_t>(f.input->size());
+      const ObjAddr arr = heap_->alloc_array(n);
+      arr_handle = handles_.create(arr);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const Element& el = elements[f.base + i];
+        heap_->set_slot(arr, i,
+                        el.value != nullptr
+                            ? to_slot_scalar(*el.value)
+                            : SlotValue::from_ref(handles_.get(el.handle)));
+      }
+      const std::size_t base = f.base;
+      stack.pop_back();
+      for (std::size_t i = base; i < elements.size(); ++i) {
+        if (elements[i].value == nullptr) handles_.release(elements[i].handle);
+      }
+      elements.resize(base);
+      if (stack.empty()) {
+        handles_.release(arr_handle);
+        return SlotValue::from_ref(arr);
+      }
+      elements.push_back({nullptr, handles_.create(arr)});
+      handles_.release(arr_handle);
+      arr_handle = kNoHandle;
     }
-    // Every element rooted: allocate the array and fill it (the fill
-    // converts only primitives and refs — nothing allocates here).
-    const ObjAddr arr =
-        heap_->alloc_array(static_cast<std::uint32_t>(f.input->size()));
-    const GcRef arr_ref = make_ref(arr);
-    for (std::uint32_t i = 0; i < f.rooted.size(); ++i) {
-      heap_->set_slot(arr_ref.address(), i, to_slot_scalar(f.rooted[i]));
+  } catch (...) {
+    if (arr_handle != kNoHandle) handles_.release(arr_handle);
+    for (const Element& el : elements) {
+      if (el.value == nullptr) handles_.release(el.handle);
     }
-    stack.pop_back();
-    if (stack.empty()) return SlotValue::from_ref(arr_ref.address());
-    stack.back().rooted.emplace_back(make_ref(arr_ref.address()));
+    throw;
   }
 }
 

@@ -7,6 +7,7 @@ namespace msv::rt {
 std::uint32_t WeakRefTable::add(ObjAddr addr, std::uint64_t payload) {
   MSV_CHECK_MSG(addr != kNullAddr, "weak reference to null");
   entries_.push_back(WeakEntry{addr, payload, true});
+  ++size_;
   return static_cast<std::uint32_t>(entries_.size() - 1);
 }
 
@@ -20,12 +21,22 @@ bool WeakRefTable::is_cleared(std::uint32_t index) const {
   return e.was_set && e.target == kNullAddr;
 }
 
-std::size_t WeakRefTable::cleared_count() const {
-  std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.was_set && e.target == kNullAddr) ++n;
+void WeakRefTable::clear() {
+  entries_.clear();
+  size_ = 0;
+  cleared_ = 0;
+  tombstones_ = 0;
+  ++generation_;
+}
+
+void WeakRefTable::compact() {
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < entries_.size(); ++r) {
+    if (entries_[r].was_set) entries_[w++] = entries_[r];
   }
-  return n;
+  entries_.resize(w);
+  tombstones_ = 0;
+  ++generation_;
 }
 
 }  // namespace msv::rt

@@ -1,12 +1,14 @@
 #include "shim/enclave_shim.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "support/error.h"
 
 namespace msv::shim {
 namespace {
 
+// Indexed by EnclaveShim::Ocall.
 constexpr const char* kOcallNames[] = {
     "ocall_fopen",  "ocall_fwrite", "ocall_fread",  "ocall_fseek",
     "ocall_fflush", "ocall_fclose", "ocall_access", "ocall_stat",
@@ -38,14 +40,14 @@ void EnclaveShim::register_ocalls() {
   MSV_CHECK_MSG(!registered_, "shim ocalls registered twice");
   registered_ = true;
 
-  bridge_.register_ocall("ocall_fopen", [this](ByteReader& r) {
+  intern(Ocall::kFopen, [this](ByteReader& r) {
     const std::string path = r.get_string();
     const auto mode = static_cast<vfs::OpenMode>(r.get_u8());
     ByteBuffer out;
     out.put_u64(host_.open(path, mode));
     return out;
   });
-  bridge_.register_ocall("ocall_fwrite", [this](ByteReader& r) {
+  intern(Ocall::kFwrite, [this](ByteReader& r) {
     const FileId id = r.get_u64();
     const std::uint64_t len = r.get_varint();
     std::vector<std::uint8_t> buf(len);
@@ -53,7 +55,7 @@ void EnclaveShim::register_ocalls() {
     host_.write(id, buf.data(), len);
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_fread", [this](ByteReader& r) {
+  intern(Ocall::kFread, [this](ByteReader& r) {
     const FileId id = r.get_u64();
     const std::uint64_t len = r.get_varint();
     std::vector<std::uint8_t> buf(len);
@@ -63,48 +65,48 @@ void EnclaveShim::register_ocalls() {
     out.put_bytes(buf.data(), got);
     return out;
   });
-  bridge_.register_ocall("ocall_fseek", [this](ByteReader& r) {
+  intern(Ocall::kFseek, [this](ByteReader& r) {
     const FileId id = r.get_u64();
     host_.seek(id, r.get_u64());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_fflush", [this](ByteReader& r) {
+  intern(Ocall::kFflush, [this](ByteReader& r) {
     host_.flush(r.get_u64());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_fclose", [this](ByteReader& r) {
+  intern(Ocall::kFclose, [this](ByteReader& r) {
     host_.close(r.get_u64());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_access", [this](ByteReader& r) {
+  intern(Ocall::kAccess, [this](ByteReader& r) {
     ByteBuffer out;
     out.put_u8(host_.exists(r.get_string()) ? 1 : 0);
     return out;
   });
-  bridge_.register_ocall("ocall_stat", [this](ByteReader& r) {
+  intern(Ocall::kStat, [this](ByteReader& r) {
     ByteBuffer out;
     out.put_u64(host_.file_size(r.get_string()));
     return out;
   });
-  bridge_.register_ocall("ocall_unlink", [this](ByteReader& r) {
+  intern(Ocall::kUnlink, [this](ByteReader& r) {
     host_.remove(r.get_string());
     return ByteBuffer();
   });
-  bridge_.register_ocall("ocall_listdir", [this](ByteReader& r) {
+  intern(Ocall::kListdir, [this](ByteReader& r) {
     const auto names = host_.list(r.get_string());
     ByteBuffer out;
     out.put_varint(names.size());
     for (const auto& n : names) out.put_string(n);
     return out;
   });
-  bridge_.register_ocall("ocall_mmap", [this](ByteReader& r) {
+  intern(Ocall::kMmap, [this](ByteReader& r) {
     // The helper validates the path; the enclave-side map() fetches pages
     // on demand through ocall_mmap_fetch.
     ByteBuffer out;
     out.put_u64(host_.file_size(r.get_string()));
     return out;
   });
-  bridge_.register_ocall("ocall_mmap_fetch", [this](ByteReader& r) {
+  intern(Ocall::kMmapFetch, [this](ByteReader& r) {
     r.get_u64();  // page index; the helper reads it from its own mapping
     env_.clock.advance(env_.cost.soft_page_fault_cycles);
     // The page content travels back as the response payload; the bridge
@@ -116,9 +118,17 @@ void EnclaveShim::register_ocalls() {
   });
 }
 
-ByteBuffer EnclaveShim::relay(const std::string& ocall,
-                              const ByteBuffer& request) {
-  return bridge_.ocall(ocall, request);
+void EnclaveShim::intern(Ocall ocall, sgx::TransitionBridge::Handler handler) {
+  static_assert(std::size(kOcallNames) == std::tuple_size_v<decltype(ids_)>);
+  const auto i = static_cast<std::size_t>(ocall);
+  ids_[i] = bridge_.register_ocall(kOcallNames[i], std::move(handler));
+}
+
+ByteBuffer EnclaveShim::relay(Ocall ocall, const ByteBuffer& request) {
+  MSV_CHECK_MSG(registered_, "shim ocall relayed before register_ocalls()");
+  ByteBuffer response;
+  bridge_.ocall(ids_[static_cast<std::size_t>(ocall)], request, response);
+  return response;
 }
 
 FileId EnclaveShim::open(const std::string& path, vfs::OpenMode mode) {
@@ -126,7 +136,7 @@ FileId EnclaveShim::open(const std::string& path, vfs::OpenMode mode) {
   ByteBuffer req;
   req.put_string(path);
   req.put_u8(static_cast<std::uint8_t>(mode));
-  ByteBuffer resp = relay("ocall_fopen", req);
+  ByteBuffer resp = relay(Ocall::kFopen, req);
   ByteReader r(resp);
   return r.get_u64();
 }
@@ -138,7 +148,7 @@ void EnclaveShim::write(FileId file, const void* buf, std::uint64_t len) {
   req.put_u64(file);
   req.put_varint(len);
   req.put_bytes(buf, len);
-  relay("ocall_fwrite", req);
+  relay(Ocall::kFwrite, req);
 }
 
 std::uint64_t EnclaveShim::read(FileId file, void* buf, std::uint64_t len) {
@@ -146,7 +156,7 @@ std::uint64_t EnclaveShim::read(FileId file, void* buf, std::uint64_t len) {
   ByteBuffer req;
   req.put_u64(file);
   req.put_varint(len);
-  ByteBuffer resp = relay("ocall_fread", req);
+  ByteBuffer resp = relay(Ocall::kFread, req);
   ByteReader r(resp);
   const std::uint64_t got = r.get_varint();
   MSV_CHECK_MSG(got <= len, "shim helper returned too many bytes");
@@ -160,28 +170,28 @@ void EnclaveShim::seek(FileId file, std::uint64_t pos) {
   ByteBuffer req;
   req.put_u64(file);
   req.put_u64(pos);
-  relay("ocall_fseek", req);
+  relay(Ocall::kFseek, req);
 }
 
 void EnclaveShim::flush(FileId file) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_u64(file);
-  relay("ocall_fflush", req);
+  relay(Ocall::kFflush, req);
 }
 
 void EnclaveShim::close(FileId file) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_u64(file);
-  relay("ocall_fclose", req);
+  relay(Ocall::kFclose, req);
 }
 
 bool EnclaveShim::exists(const std::string& path) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(path);
-  ByteBuffer resp = relay("ocall_access", req);
+  ByteBuffer resp = relay(Ocall::kAccess, req);
   ByteReader r(resp);
   return r.get_u8() != 0;
 }
@@ -190,7 +200,7 @@ std::uint64_t EnclaveShim::file_size(const std::string& path) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(path);
-  ByteBuffer resp = relay("ocall_stat", req);
+  ByteBuffer resp = relay(Ocall::kStat, req);
   ByteReader r(resp);
   return r.get_u64();
 }
@@ -199,14 +209,14 @@ void EnclaveShim::remove(const std::string& path) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(path);
-  relay("ocall_unlink", req);
+  relay(Ocall::kUnlink, req);
 }
 
 std::vector<std::string> EnclaveShim::list(const std::string& prefix) {
   ++stats_.other_calls;
   ByteBuffer req;
   req.put_string(prefix);
-  ByteBuffer resp = relay("ocall_listdir", req);
+  ByteBuffer resp = relay(Ocall::kListdir, req);
   ByteReader r(resp);
   std::vector<std::string> names(r.get_varint());
   for (auto& n : names) n = r.get_string();
@@ -217,7 +227,7 @@ std::shared_ptr<MappedFile> EnclaveShim::map(const std::string& path) {
   ++stats_.maps;
   ByteBuffer req;
   req.put_string(path);
-  relay("ocall_mmap", req);  // charges the ocall; validates existence
+  relay(Ocall::kMmap, req);  // charges the ocall; validates existence
   // The snapshot itself is pulled page by page on first touch through an
   // ocall per page — the reader-side ocalls the paper counts in §6.5.
   return std::make_shared<MappedFile>(
@@ -225,7 +235,7 @@ std::shared_ptr<MappedFile> EnclaveShim::map(const std::string& path) {
       [this](std::uint64_t page) {
         ByteBuffer req_page;
         req_page.put_u64(page);
-        relay("ocall_mmap_fetch", req_page);
+        relay(Ocall::kMmapFetch, req_page);
       });
 }
 

@@ -11,6 +11,9 @@
 // what the TCB report charges for it.
 #pragma once
 
+#include <array>
+#include <cstdint>
+
 #include "sgx/bridge.h"
 #include "sgx/edl.h"
 #include "shim/host_io.h"
@@ -52,7 +55,27 @@ class EnclaveShim final : public IoService {
   const IoStats& stats() const override { return stats_; }
 
  private:
-  ByteBuffer relay(const std::string& ocall, const ByteBuffer& request);
+  // The relayed routines, one ocall each.
+  enum class Ocall : std::uint8_t {
+    kFopen,
+    kFwrite,
+    kFread,
+    kFseek,
+    kFflush,
+    kFclose,
+    kAccess,
+    kStat,
+    kUnlink,
+    kListdir,
+    kMmap,
+    kMmapFetch,
+    kCount
+  };
+
+  // Registers `handler` for `ocall` and keeps its interned ID.
+  void intern(Ocall ocall, sgx::TransitionBridge::Handler handler);
+  // Dispatches `ocall` by its interned ID.
+  ByteBuffer relay(Ocall ocall, const ByteBuffer& request);
 
   Env& env_;
   sgx::TransitionBridge& bridge_;
@@ -60,6 +83,7 @@ class EnclaveShim final : public IoService {
   MemoryDomain& enclave_domain_;
   IoStats stats_;
   bool registered_ = false;
+  std::array<sgx::CallId, static_cast<std::size_t>(Ocall::kCount)> ids_{};
 };
 
 }  // namespace msv::shim

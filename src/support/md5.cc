@@ -53,18 +53,21 @@ void Md5::update(const void* data, std::size_t len) {
 
 Md5::Digest Md5::finish() {
   MSV_CHECK_MSG(!finished_, "Md5::finish called twice");
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  // Bypass the total_len_ bookkeeping for the length block itself.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
-  process_block(buffer_.data());
   finished_ = true;
+  // update() never leaves a full buffer, so the 0x80 marker always fits;
+  // the 8-byte length needs a second block when fewer than 8 bytes remain.
+  const std::uint64_t bit_len = total_len_ * 8;
+  std::size_t n = buffer_len_;
+  buffer_[n++] = 0x80;
+  if (n > buffer_.size() - 8) {
+    std::memset(buffer_.data() + n, 0, buffer_.size() - n);
+    process_block(buffer_.data());
+    n = 0;
+  }
+  std::memset(buffer_.data() + n, 0, buffer_.size() - 8 - n);
+  for (int i = 0; i < 8; ++i)
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  process_block(buffer_.data());
 
   Digest d;
   for (int i = 0; i < 4; ++i)

@@ -5,13 +5,17 @@
 #include <array>
 #include <cstring>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "apps/synthetic/generator.h"
 #include "core/montsalvat.h"
 #include "rmi/batch.h"
 #include "rmi/hasher.h"
+#include "rmi/proxy_index.h"
 #include "rmi/registry.h"
 #include "rmi/wire.h"
+#include "support/rng.h"
 
 namespace msv::rmi {
 namespace {
@@ -488,6 +492,234 @@ TEST(ProxyRuntimeTest, RmiStatsAccumulate) {
   EXPECT_EQ(app.rmi().stats().transitions, 11u);
   EXPECT_EQ(app.rmi().stats().batched_calls, 0u);
   EXPECT_EQ(app.rmi().stats().batch_flushes, 0u);
+}
+
+// ---- GC-helper proxy cache (rmi/proxy_index.h) ----------------------------
+
+// The GC helper's proxy cache as it was before weak slots became stable:
+// every sweep compacts the weak table and rebuilds the whole hash -> index
+// map. Kept as the oracle for ProxyIndex.
+struct CompactingProxyCache {
+  explicit CompactingProxyCache(rt::WeakRefTable& w) : weak(w) {}
+
+  void add(rt::ObjAddr addr, std::int64_t hash) {
+    by_hash[hash] = weak.add(addr, static_cast<std::uint64_t>(hash));
+  }
+
+  rt::ObjAddr find_live(std::int64_t hash) const {
+    const auto it = by_hash.find(hash);
+    if (it == by_hash.end()) return rt::kNullAddr;
+    const rt::WeakEntry& e = weak.entry(it->second);
+    if (e.target != rt::kNullAddr &&
+        e.payload == static_cast<std::uint64_t>(hash)) {
+      return e.target;
+    }
+    return rt::kNullAddr;
+  }
+
+  std::vector<std::int64_t> sweep() {
+    std::vector<std::int64_t> dead;
+    weak.remove_if([&](const rt::WeakEntry& e) {
+      if (e.was_set && e.target == rt::kNullAddr) {
+        dead.push_back(static_cast<std::int64_t>(e.payload));
+        return true;
+      }
+      return false;
+    });
+    by_hash.clear();
+    for (std::uint32_t i = 0; i < weak.size(); ++i) {
+      const rt::WeakEntry& e = weak.entry(i);
+      if (e.target != rt::kNullAddr) {
+        by_hash[static_cast<std::int64_t>(e.payload)] = i;
+      }
+    }
+    return dead;
+  }
+
+  rt::WeakRefTable& weak;
+  std::unordered_map<std::int64_t, std::uint32_t> by_hash;
+};
+
+// The GC helper's eviction payload for `dead` (ProxyRuntime::evict_remote).
+std::vector<std::uint8_t> eviction_payload(
+    const std::vector<std::int64_t>& dead) {
+  ByteBuffer b;
+  b.put_varint(dead.size());
+  for (const auto h : dead) b.put_i64(h);
+  return {b.data(), b.data() + b.size()};
+}
+
+TEST(ProxyIndex, SweepsMatchCompactingCacheOracle) {
+  // Two isolates run the same seeded proxy lifecycle: constructs (with
+  // occasional hash collisions), materializations that reuse a live proxy
+  // when there is one, dropped roots, collections and sweeps. Every
+  // sweep's dead-hash order and eviction payload, and every lookup, must
+  // match the compact-and-rebuild oracle, across compactions.
+  for (const std::uint64_t seed : {5u, 6u, 7u, 8u}) {
+    Env env_o, env_i;
+    UntrustedDomain dom_o(env_o), dom_i(env_i);
+    rt::Isolate iso_o(env_o, dom_o, rt::Isolate::Config{"idx", 1ull << 20});
+    rt::Isolate iso_i(env_i, dom_i, rt::Isolate::Config{"idx", 1ull << 20});
+    CompactingProxyCache oracle(iso_o.weak_refs());
+    ProxyIndex index(iso_i.weak_refs());
+    Rng rng(seed);
+    std::vector<std::int64_t> hashes;
+    std::vector<rt::GcRef> keep_o, keep_i;
+    std::uint64_t compactions = 0, collisions = 0, reuses = 0, evicted = 0;
+    auto add_proxy = [&](std::int64_t hash) {
+      keep_o.push_back(iso_o.new_instance(1, 1));
+      keep_i.push_back(iso_i.new_instance(1, 1));
+      ASSERT_EQ(keep_o.back().address(), keep_i.back().address());
+      oracle.add(keep_o.back().address(), hash);
+      index.add(keep_i.back().address(), hash);
+      if (rng.next_bool(0.15)) {  // not held: dies at the next collection
+        keep_o.pop_back();
+        keep_i.pop_back();
+      }
+    };
+    for (int step = 0; step < 600; ++step) {
+      switch (rng.next_below(5)) {
+        case 0:  // construct: a fresh hash, now and then a colliding one
+          for (std::uint64_t n = rng.next_in(1, 10); n > 0; --n) {
+            std::int64_t h = static_cast<std::int64_t>(rng.next_u64());
+            if (!hashes.empty() && rng.next_bool(0.05)) {
+              h = hashes[rng.next_below(hashes.size())];
+              if (oracle.find_live(h) != rt::kNullAddr) ++collisions;
+            } else {
+              hashes.push_back(h);
+            }
+            add_proxy(h);
+          }
+          break;
+        case 1: {  // materialize
+          if (hashes.empty()) break;
+          const std::int64_t h = hashes[rng.next_below(hashes.size())];
+          const rt::ObjAddr live = oracle.find_live(h);
+          ASSERT_EQ(index.find_live(h), live);
+          if (live != rt::kNullAddr) {
+            ++reuses;
+            keep_o.push_back(iso_o.make_ref(live));
+            keep_i.push_back(iso_i.make_ref(live));
+          } else {
+            add_proxy(h);
+          }
+          break;
+        }
+        case 2:  // drop roots
+          for (std::uint64_t n = rng.next_below(12); n > 0 && !keep_o.empty();
+               --n) {
+            const std::size_t v = rng.next_below(keep_o.size());
+            keep_o[v] = std::move(keep_o.back());
+            keep_o.pop_back();
+            keep_i[v] = std::move(keep_i.back());
+            keep_i.pop_back();
+          }
+          break;
+        case 3:
+          iso_o.heap().collect();
+          iso_i.heap().collect();
+          break;
+        default: {
+          const std::uint64_t gen = iso_i.weak_refs().generation();
+          std::vector<std::int64_t> dead_i;
+          index.sweep([&](std::int64_t h) { dead_i.push_back(h); });
+          const std::vector<std::int64_t> dead_o = oracle.sweep();
+          ASSERT_EQ(dead_i, dead_o) << "seed " << seed << " step " << step;
+          ASSERT_EQ(eviction_payload(dead_i), eviction_payload(dead_o));
+          evicted += dead_i.size();
+          if (iso_i.weak_refs().generation() != gen) ++compactions;
+        }
+      }
+      ASSERT_EQ(iso_i.weak_refs().size(), iso_o.weak_refs().size());
+      ASSERT_EQ(iso_i.weak_refs().cleared_count(),
+                iso_o.weak_refs().cleared_count());
+      for (const std::int64_t h : hashes) {
+        ASSERT_EQ(index.find_live(h), oracle.find_live(h))
+            << "seed " << seed << " step " << step;
+      }
+    }
+    EXPECT_GT(compactions, 0u) << "seed " << seed;
+    EXPECT_GT(collisions, 0u) << "seed " << seed;
+    EXPECT_GT(reuses, 0u) << "seed " << seed;
+    EXPECT_GT(evicted, 0u) << "seed " << seed;
+  }
+}
+
+TEST(ProxyRuntimeTest, GcScanEvictsDeadAndReusesLiveProxyAfterCompaction) {
+  // A trusted Keeper hands out its Worker, so the untrusted side holds a
+  // materialized proxy among constructed ones. Most constructed proxies
+  // then die: the scan evicts exactly their mirrors, in one payload, and
+  // compacts the weak table — after which the Keeper's Worker must still
+  // come back as the same live proxy, not a twin.
+  model::AppModel model = apps::synthetic::build_micro_app();
+  auto& keeper = model.add_class("Keeper", model::Annotation::kTrusted);
+  keeper.add_field("item");
+  keeper.add_constructor(0)
+      .body_native([](model::NativeCall& call) {
+        call.isolate.set_field(call.self, 0, call.ctx.construct("Worker", {}));
+        return Value();
+      })
+      .calls("Worker", model::kConstructorName);
+  keeper.add_method("item", 0).body_native([](model::NativeCall& call) {
+    return call.isolate.get_field(call.self, 0);
+  });
+  core::AppConfig config;
+  config.extra_entry_points = {{"Keeper", model::kConstructorName},
+                               {"Keeper", "item"}};
+  core::PartitionedApp app(model, config);
+  auto& u = app.untrusted_context();
+  app.rmi().force_gc_scan();  // start from a known schedule
+
+  const Value k = u.construct("Keeper", {});
+  const Value item = u.invoke(k.as_ref(), "item", {});
+  EXPECT_EQ(app.rmi().stats().proxies_materialized, 1u);
+  std::vector<Value> workers;
+  std::vector<std::int64_t> hashes;
+  for (int i = 0; i < 40; ++i) {
+    workers.push_back(u.construct("Worker", {}));
+    hashes.push_back(
+        u.isolate().get_field(workers.back().as_ref(), 0).as_i64());
+  }
+  Rng rng(99);
+  std::vector<std::int64_t> dead_hashes;
+  std::vector<Value> held;
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    if (rng.next_bool(0.75)) {
+      dead_hashes.push_back(hashes[i]);
+    } else {
+      held.push_back(workers[i]);
+    }
+  }
+  workers.clear();
+  ASSERT_GT(dead_hashes.size(), 21u) << "must cross the compaction threshold";
+
+  const rt::WeakRefTable& weak = u.isolate().weak_refs();
+  const std::uint64_t gen = weak.generation();
+  const auto evict_bytes = [&] {
+    const auto& calls = app.bridge().stats().per_call;
+    const auto it = calls.find("ecall_gc_evict_mirrors");
+    return it == calls.end() ? 0 : it->second.bytes_in;
+  };
+  const std::uint64_t bytes_before = evict_bytes();
+  u.isolate().heap().collect();
+  EXPECT_EQ(app.rmi().live_proxy_count(Side::kUntrusted), 2 + held.size());
+  app.rmi().force_gc_scan();
+  EXPECT_NE(weak.generation(), gen) << "the sweep should have compacted";
+  EXPECT_EQ(evict_bytes() - bytes_before,
+            eviction_payload(dead_hashes).size());
+  const MirrorProxyRegistry& mirrors = app.rmi().registry(Side::kTrusted);
+  for (const std::int64_t h : dead_hashes) EXPECT_FALSE(mirrors.contains(h));
+  for (const Value& w : held) {
+    EXPECT_TRUE(
+        mirrors.contains(u.isolate().get_field(w.as_ref(), 0).as_i64()));
+  }
+  EXPECT_EQ(app.rmi().live_proxy_count(Side::kUntrusted), 2 + held.size());
+
+  const Value again = u.invoke(k.as_ref(), "item", {});
+  EXPECT_TRUE(again.as_ref().same_object(item.as_ref()));
+  EXPECT_EQ(app.rmi().stats().proxies_materialized, 1u);
+  u.invoke(again.as_ref(), "set", {Value(std::int32_t{5})});
+  EXPECT_EQ(u.invoke(item.as_ref(), "get", {}).as_i32(), 5);
 }
 
 // ---- Batch wire codec (rmi/batch.h) ---------------------------------------

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/churn.h"
@@ -13,6 +15,7 @@
 #include "sim/domain.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace msv::rt {
 namespace {
@@ -291,6 +294,307 @@ TEST_F(RuntimeTest, RemoveIfCompactsWeakTable) {
   weak.remove_if([](const WeakEntry& e) { return e.target == kNullAddr; });
   EXPECT_EQ(weak.size(), 1u);
   EXPECT_EQ(weak.entry(0).payload, 1u);
+}
+
+TEST_F(RuntimeTest, WeakSlotsStayStableAcrossSweeps) {
+  Heap& heap = iso_.heap();
+  WeakRefTable& weak = iso_.weak_refs();
+  std::vector<GcRef> keep;
+  std::vector<std::uint32_t> slots;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const GcRef obj = iso_.make_ref(heap.alloc_instance(1, 0));
+    slots.push_back(weak.add(obj.address(), 100 + i));
+    keep.push_back(obj);
+  }
+  // Three of ten die: a sweep tombstones them in place, well under the
+  // compaction threshold, so every survivor keeps its slot.
+  for (const std::size_t dead : {7u, 2u, 4u}) keep[dead] = GcRef();
+  heap.collect();
+  const std::uint64_t gen = weak.generation();
+  std::vector<std::uint64_t> swept;
+  EXPECT_FALSE(weak.sweep_cleared(
+      [&](const WeakEntry& e) { swept.push_back(e.payload); }));
+  EXPECT_EQ(swept, (std::vector<std::uint64_t>{102, 104, 107}));
+  EXPECT_EQ(weak.generation(), gen);
+  EXPECT_EQ(weak.size(), 7u);
+  EXPECT_EQ(weak.slot_count(), 10u);
+  EXPECT_EQ(weak.cleared_count(), 0u);
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    const WeakEntry& e = weak.entry(slots[i]);
+    if (keep[i]) {
+      EXPECT_EQ(e.target, keep[i].address());
+      EXPECT_EQ(e.payload, 100 + i);
+    } else {
+      EXPECT_FALSE(e.was_set) << "slot " << i << " is a tombstone";
+      EXPECT_FALSE(weak.is_cleared(slots[i]));
+    }
+  }
+  // Three more die: 6 tombstones of 10 slots is past half, so the table
+  // compacts, keeping the survivors in insertion order.
+  for (const std::size_t dead : {0u, 9u, 5u}) keep[dead] = GcRef();
+  heap.collect();
+  EXPECT_TRUE(weak.sweep_cleared([](const WeakEntry&) {}));
+  EXPECT_GT(weak.generation(), gen);
+  EXPECT_EQ(weak.size(), 4u);
+  EXPECT_EQ(weak.slot_count(), 4u);
+  const std::vector<std::uint64_t> order = {101, 103, 106, 108};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(weak.entry(i).payload, order[i]);
+  }
+}
+
+TEST_F(RuntimeTest, WeakCountsMatchRecountOracle) {
+  // Seeded add / drop / collect / sweep sequences; after every step the
+  // O(1) size() and cleared_count() must equal a recount over the slots,
+  // and live slots must stay in insertion order.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Env env;
+    UntrustedDomain domain(env);
+    Isolate iso(env, domain, Isolate::Config{"weak-oracle", 1ull << 20});
+    WeakRefTable& weak = iso.weak_refs();
+    Rng rng(seed);
+    std::vector<GcRef> keep;
+    std::uint64_t next_payload = 0;
+    std::uint64_t compactions = 0;
+    auto check = [&] {
+      std::size_t size = 0, cleared = 0;
+      std::uint64_t last = 0;
+      for (std::uint32_t i = 0; i < weak.slot_count(); ++i) {
+        const WeakEntry& e = weak.entry(i);
+        if (!e.was_set) continue;
+        ++size;
+        if (e.target == kNullAddr) ++cleared;
+        if (size > 1) {
+          ASSERT_GT(e.payload, last) << "insertion order";
+        }
+        last = e.payload;
+      }
+      ASSERT_EQ(weak.size(), size);
+      ASSERT_EQ(weak.cleared_count(), cleared);
+    };
+    for (int step = 0; step < 400; ++step) {
+      switch (rng.next_below(4)) {
+        case 0:  // add a few, most of them rooted
+          for (std::uint64_t n = rng.next_in(1, 12); n > 0; --n) {
+            const GcRef obj = iso.make_ref(iso.heap().alloc_instance(1, 1));
+            weak.add(obj.address(), ++next_payload);
+            if (rng.next_bool(0.8)) keep.push_back(obj);
+          }
+          break;
+        case 1:  // drop some roots
+          for (std::uint64_t n = rng.next_below(8); n > 0 && !keep.empty();
+               --n) {
+            const std::size_t victim = rng.next_below(keep.size());
+            keep[victim] = std::move(keep.back());
+            keep.pop_back();
+          }
+          break;
+        case 2:
+          iso.heap().collect();
+          break;
+        default: {
+          const std::uint64_t gen = weak.generation();
+          const std::size_t expect = weak.cleared_count();
+          std::size_t seen = 0;
+          const bool compacted =
+              weak.sweep_cleared([&](const WeakEntry&) { ++seen; });
+          ASSERT_EQ(seen, expect);
+          ASSERT_EQ(compacted, weak.generation() != gen);
+          if (compacted) ++compactions;
+        }
+      }
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(compactions, 0u) << "seed " << seed << " never compacted";
+    // Tombstones never outnumber the entries by more than one slot.
+    EXPECT_LE(weak.slot_count(), 2 * weak.size() + 1);
+  }
+}
+
+// Isolate::to_slot as it was when every list element was held as a
+// GcRef-rooted Value (one make_shared root per string) — kept as the
+// oracle for handle order: the raw-slot walk must create and release
+// handle slots in exactly this order, or the free list, and with it the
+// layout after the next collection, drifts.
+SlotValue gcref_to_slot(Isolate& iso, const Value& v) {
+  if (v.type() != ValueType::kList) return iso.to_slot(v);
+  struct Frame {
+    const ValueList* input;
+    std::vector<Value> rooted;
+    std::size_t next = 0;
+  };
+  std::vector<Frame> stack;
+  stack.push_back({&v.as_list(), {}, 0});
+  stack.back().rooted.reserve(v.as_list().size());
+  while (true) {
+    Frame& f = stack.back();
+    if (f.next < f.input->size()) {
+      const Value& e = (*f.input)[f.next];
+      ++f.next;
+      if (e.type() == ValueType::kString) {
+        f.rooted.emplace_back(
+            iso.make_ref(iso.heap().alloc_string(e.as_string())));
+      } else if (e.type() == ValueType::kList) {
+        stack.push_back({&e.as_list(), {}, 0});
+        stack.back().rooted.reserve(e.as_list().size());
+      } else {
+        f.rooted.push_back(e);
+      }
+      continue;
+    }
+    const ObjAddr arr =
+        iso.heap().alloc_array(static_cast<std::uint32_t>(f.input->size()));
+    const GcRef arr_ref = iso.make_ref(arr);
+    for (std::uint32_t i = 0; i < f.rooted.size(); ++i) {
+      iso.heap().set_slot(arr_ref.address(), i, iso.to_slot(f.rooted[i]));
+    }
+    stack.pop_back();
+    if (stack.empty()) return SlotValue::from_ref(arr_ref.address());
+    stack.back().rooted.emplace_back(iso.make_ref(arr_ref.address()));
+  }
+}
+
+// One isolate with pinned instances (list elements refer to them) and a
+// non-trivial handle free list.
+struct ToSlotSide {
+  explicit ToSlotSide(std::uint64_t heap_bytes)
+      : domain(env), iso(env, domain, Isolate::Config{"to-slot", heap_bytes}) {
+    for (int i = 0; i < 8; ++i) pins.push_back(iso.new_instance(1, 1));
+    pins.erase(pins.begin() + 5);
+    pins.erase(pins.begin() + 2);
+  }
+
+  // A seeded nested list of strings, refs to pins and primitives.
+  Value make_list(Rng& rng, int depth) {
+    ValueList items;
+    for (std::uint64_t n = rng.next_below(12); n > 0; --n) {
+      switch (rng.next_below(depth < 4 ? 6 : 5)) {
+        case 0:
+        case 1:
+          items.emplace_back(
+              std::string(static_cast<std::size_t>(rng.next_in(1, 200)), 'x'));
+          break;
+        case 2:
+          items.emplace_back(pins[rng.next_below(pins.size())]);
+          break;
+        case 3:
+          items.emplace_back(static_cast<std::int64_t>(rng.next_u64()));
+          break;
+        case 4:
+          items.emplace_back();
+          break;
+        default:
+          items.push_back(make_list(rng, depth + 1));
+      }
+    }
+    return Value(std::move(items));
+  }
+
+  // Clock, heap counters, the handle free list and every heap byte that
+  // matters (each object's header fields and contents, in address order).
+  std::vector<std::uint64_t> fingerprint() {
+    Heap& heap = iso.heap();
+    const HeapStats& st = heap.stats();
+    std::vector<std::uint64_t> f = {env.clock.now(), heap.used_bytes(),
+                                    st.allocations,  st.allocated_bytes,
+                                    st.gc_count,     st.copied_bytes_total,
+                                    st.gc_cycles_total, st.last_live_bytes,
+                                    iso.handles().live()};
+    for (const std::uint32_t slot : iso.handles().free_slots()) {
+      f.push_back(slot);
+    }
+    for (ObjAddr a = 8; a < heap.used_bytes(); a += heap.object_bytes(a)) {
+      f.push_back(a);
+      f.push_back(static_cast<std::uint64_t>(heap.kind(a)));
+      f.push_back(heap.class_id(a));
+      f.push_back(heap.count(a));
+      f.push_back(heap.identity_hash(a));
+      if (heap.kind(a) == ObjectKind::kString) {
+        f.push_back(std::hash<std::string_view>{}(heap.string_at(a)));
+        continue;
+      }
+      for (std::uint32_t i = 0; i < heap.count(a); ++i) {
+        const SlotValue sv = heap.slot(a, i);
+        f.push_back(static_cast<std::uint64_t>(sv.tag));
+        f.push_back(sv.bits);
+      }
+    }
+    return f;
+  }
+
+  Env env;
+  UntrustedDomain domain;
+  Isolate iso;
+  std::vector<GcRef> pins;
+};
+
+TEST_F(RuntimeTest, ToSlotHandleOrderMatchesGcRefWalk) {
+  // 48 KiB (24 KiB semispaces) fills within a few conversions, so
+  // collections land in the middle of a list's elements.
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    ToSlotSide oracle(48 << 10);
+    ToSlotSide fast(48 << 10);
+    Rng rng_o(seed), rng_f(seed);
+    std::deque<GcRef> recent_o, recent_f;  // keep the last few results live
+    std::uint64_t collected_mid_conversion = 0;
+    for (int round = 0; round < 60; ++round) {
+      const Value in_o = oracle.make_list(rng_o, 0);
+      const Value in_f = fast.make_list(rng_f, 0);
+      const std::uint64_t gcs = fast.iso.heap().stats().gc_count;
+      const SlotValue out_o = gcref_to_slot(oracle.iso, in_o);
+      const SlotValue out_f = fast.iso.to_slot(in_f);
+      if (fast.iso.heap().stats().gc_count > gcs) ++collected_mid_conversion;
+      ASSERT_EQ(out_f.tag, out_o.tag);
+      ASSERT_EQ(out_f.bits, out_o.bits);
+      recent_o.push_back(oracle.iso.make_ref(out_o.as_ref()));
+      recent_f.push_back(fast.iso.make_ref(out_f.as_ref()));
+      if (recent_o.size() > 3) {
+        recent_o.pop_front();
+        recent_f.pop_front();
+      }
+      ASSERT_EQ(fast.fingerprint(), oracle.fingerprint())
+          << "seed " << seed << " round " << round;
+    }
+    EXPECT_GT(collected_mid_conversion, 0u) << "seed " << seed;
+  }
+}
+
+TEST_F(RuntimeTest, ToSlotUnwindsHandlesInGcRefOrder) {
+  // Both ways out of a conversion must leave the same free list: running
+  // out of heap mid-walk, and a foreign ref found while filling an array.
+  {
+    ToSlotSide oracle(16 << 10);
+    ToSlotSide fast(16 << 10);
+    ValueList big;
+    for (int i = 0; i < 3; ++i) {
+      ValueList inner;
+      for (int j = 0; j < 20; ++j) inner.emplace_back(std::string(300, 'o'));
+      big.emplace_back(std::move(inner));
+      big.emplace_back(std::string(40, 'p'));
+    }
+    const Value v(std::move(big));
+    EXPECT_THROW(gcref_to_slot(oracle.iso, v), OutOfMemoryError);
+    EXPECT_THROW(fast.iso.to_slot(v), OutOfMemoryError);
+    EXPECT_EQ(fast.iso.handles().live(), oracle.iso.handles().live());
+    EXPECT_EQ(fast.fingerprint(), oracle.fingerprint());
+  }
+  {
+    ToSlotSide oracle(1 << 20);
+    ToSlotSide fast(1 << 20);
+    ToSlotSide foreign(1 << 20);
+    auto build = [&](ToSlotSide& side) {
+      return Value(ValueList{
+          Value("a"),
+          Value(ValueList{Value("b"), Value(side.pins[0]),
+                          Value(ValueList{Value("c"), Value("d")}),
+                          Value(foreign.pins[0]), Value("e")}),
+          Value("f")});
+    };
+    EXPECT_THROW(gcref_to_slot(oracle.iso, build(oracle)), SecurityFault);
+    EXPECT_THROW(fast.iso.to_slot(build(fast)), SecurityFault);
+    EXPECT_EQ(fast.fingerprint(), oracle.fingerprint());
+  }
 }
 
 TEST_F(RuntimeTest, GcRefSharesRootSlot) {

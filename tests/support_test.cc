@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "support/bytes.h"
 #include "support/clock.h"
@@ -319,6 +322,94 @@ TEST(Md5, Rfc1321Vectors) {
             "f96b697d7cb7938d525a2f31aaf161d0");
   EXPECT_EQ(Md5::hex(Md5::hash("abcdefghijklmnopqrstuvwxyz")),
             "c3fcd3d76192e4007dfb496cca67e13b");
+}
+
+// MD5 as RFC 1321 writes it, with the padding fed one byte at a time —
+// the shape Md5::finish had before it padded in one pass — kept as the
+// oracle for the one-pass padding.
+std::array<std::uint8_t, 16> reference_md5(const std::string& msg) {
+  static const std::uint32_t kS[64] = {
+      7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
+      5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
+      4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+      6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+  std::uint32_t k[64];
+  for (int i = 0; i < 64; ++i) {
+    k[i] = static_cast<std::uint32_t>(
+        std::floor(std::fabs(std::sin(i + 1.0)) * 4294967296.0));
+  }
+  std::uint32_t st[4] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
+  std::vector<std::uint8_t> block;
+  auto push = [&](std::uint8_t b) {
+    block.push_back(b);
+    if (block.size() < 64) return;
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i) {
+      m[i] = block[4 * i] | block[4 * i + 1] << 8 | block[4 * i + 2] << 16 |
+             static_cast<std::uint32_t>(block[4 * i + 3]) << 24;
+    }
+    std::uint32_t a = st[0], b2 = st[1], c = st[2], d = st[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f;
+      int g;
+      if (i < 16) {
+        f = (b2 & c) | (~b2 & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b2) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b2 ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b2 | ~d);
+        g = (7 * i) % 16;
+      }
+      const std::uint32_t x = a + f + k[i] + m[g];
+      a = d;
+      d = c;
+      c = b2;
+      b2 += (x << kS[i]) | (x >> (32 - kS[i]));
+    }
+    st[0] += a;
+    st[1] += b2;
+    st[2] += c;
+    st[3] += d;
+    block.clear();
+  };
+  for (const char ch : msg) push(static_cast<std::uint8_t>(ch));
+  push(0x80);
+  while (block.size() != 56) push(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 0; i < 8; ++i) push(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::array<std::uint8_t, 16> out;
+  for (int i = 0; i < 16; ++i) {
+    out[i] = static_cast<std::uint8_t>(st[i / 4] >> (8 * (i % 4)));
+  }
+  return out;
+}
+
+TEST(Md5, OnePassPaddingMatchesBytewiseReferenceAtEveryLength) {
+  // 0-200 bytes crosses every padding case: the marker and length in the
+  // same block (< 56 bytes buffered), the length spilling into a second
+  // block (56-63), and the block boundaries themselves, one to three
+  // blocks deep. Each message is also fed in uneven pieces.
+  Rng rng(1321);
+  for (std::size_t len = 0; len <= 200; ++len) {
+    std::string msg(len, '\0');
+    for (char& c : msg) c = static_cast<char>(rng.next_below(256));
+    const auto want = reference_md5(msg);
+    ASSERT_EQ(Md5::hash(msg), want) << "length " << len;
+    Md5 pieces;
+    for (std::size_t at = 0; at < len;) {
+      const std::size_t n = std::min<std::size_t>(len - at, 1 + at % 7);
+      pieces.update(msg.data() + at, n);
+      at += n;
+    }
+    ASSERT_EQ(pieces.finish(), want) << "length " << len << " in pieces";
+  }
+  EXPECT_EQ(Md5::hex(reference_md5("abc")),
+            "900150983cd24fb0d6963f7d28e17f72");
 }
 
 TEST(Md5, IncrementalMatchesOneShot) {
