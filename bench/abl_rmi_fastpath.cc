@@ -2,12 +2,14 @@
 // arena, primitive fixed-layout encoder).
 //
 // Unlike the other benchmarks, the quantity of interest here is HOST
-// wall-clock throughput: the fast path is a pure simulator optimisation
-// and must leave every simulated cycle unchanged. Each scenario therefore
-// runs twice — once with AppConfig::fast_rmi = false (the legacy
-// string-dispatch path: per-call name hashing, fresh wire buffers, eagerly
-// built ref-encoder closures) and once with the fast path — and the run
-// aborts if the two disagree on a single simulated cycle.
+// wall-clock throughput: the hot path is a pure simulator optimisation
+// and must leave every simulated cycle unchanged. Each scenario's
+// simulated cycle total is therefore pinned to the value recorded in
+// BENCH_rmi.json (and, for --smoke, to the smoke run's totals), and the
+// run aborts if a single cycle differs. The pins were first recorded
+// while a legacy string-dispatch twin of the RMI path still ran beside
+// the hot path; both agreed to the cycle, so a fixed number now carries
+// that check.
 //
 // Scenarios: {hardware transition, switchless} x {all-primitive signature
 // (Worker.set(int)), generic signature (Worker.set_list(List))}.
@@ -28,10 +30,23 @@ struct RunResult {
   std::uint64_t fast_path_calls = 0;
 };
 
-RunResult run(bool fast, bool switchless, bool primitive, std::int64_t n,
-              int reps) {
+// Recorded simulated cycles per scenario: `full` for 7 x 50,000 calls,
+// `smoke` for 2 x 2,000 (the 64-call warm-up is not counted).
+struct Pin {
+  bool switchless;
+  bool primitive;
+  std::uint64_t full;
+  std::uint64_t smoke;
+};
+constexpr Pin kPins[] = {
+    {false, true, 181555500423, 2074920000},
+    {false, false, 192616630450, 2201328000},
+    {true, true, 9425500018, 107720000},
+    {true, false, 20486630045, 234128000},
+};
+
+RunResult run(bool switchless, bool primitive, std::int64_t n, int reps) {
   core::AppConfig config;
-  config.fast_rmi = fast;
   config.switchless_relays = switchless;
   core::PartitionedApp app(apps::synthetic::build_micro_app(), config);
   auto& u = app.untrusted_context();
@@ -56,9 +71,8 @@ RunResult run(bool fast, bool switchless, bool primitive, std::int64_t n,
 
   // Best-of-`reps` wall clock: the host is a shared machine and the
   // minimum over several identical passes is the standard estimator for a
-  // CPU-bound loop. Simulated cycles accumulate over ALL passes — legacy
-  // and fast replay the same simulated timeline, so the totals must agree
-  // to the cycle (checked by the caller).
+  // CPU-bound loop. Simulated cycles accumulate over ALL passes and must
+  // equal the scenario's pin to the cycle (checked by the caller).
   RunResult r;
   const Cycles sim0 = app.env().clock.now();
   const std::uint64_t fp0 = app.rmi().stats().fast_path_calls;
@@ -90,56 +104,49 @@ int main(int argc, char** argv) {
                       "RMI hot path: interned IDs + buffer arena + "
                       "primitive encoder (host wall-clock)");
 
-  Table table({"mode", "signature", "legacy calls/s", "fast calls/s",
-               "speedup", "sim cycles"});
+  Table table({"mode", "signature", "calls/s", "sim cycles", "pin"});
   bench::JsonReport report("abl_rmi_fastpath");
   report.add_metric("invocations", static_cast<std::uint64_t>(n));
 
-  bool cycles_identical = true;
-  for (const bool switchless : {false, true}) {
-    for (const bool primitive : {true, false}) {
-      const RunResult legacy = run(false, switchless, primitive, n, reps);
-      const RunResult fast = run(true, switchless, primitive, n, reps);
-      if (legacy.sim_cycles != fast.sim_cycles) {
-        std::fprintf(stderr,
-                     "FATAL: simulated cycles diverge (legacy %" PRIu64
-                     ", fast %" PRIu64 ") — the fast path changed results\n",
-                     legacy.sim_cycles, fast.sim_cycles);
-        cycles_identical = false;
-      }
-      if (primitive && fast.fast_path_calls != static_cast<std::uint64_t>(n)) {
-        std::fprintf(stderr,
-                     "FATAL: primitive fast path engaged on %" PRIu64
-                     " of %" PRId64 " calls\n",
-                     fast.fast_path_calls, n);
-        cycles_identical = false;
-      }
+  bool pins_held = true;
+  for (const Pin& pin : kPins) {
+    const std::string mode = pin.switchless ? "switchless" : "transition";
+    const std::string sig = pin.primitive ? "primitive" : "generic";
+    const std::string key = mode + "_" + sig;
+    const std::uint64_t expected = opt.smoke ? pin.smoke : pin.full;
 
-      const double legacy_cps = static_cast<double>(n) / legacy.wall_sec;
-      const double fast_cps = static_cast<double>(n) / fast.wall_sec;
-      const double speedup = fast_cps / legacy_cps;
-      const std::string mode = switchless ? "switchless" : "transition";
-      const std::string sig = primitive ? "primitive" : "generic";
-      table.add_row({mode, sig, format_fixed(legacy_cps / 1e6, 2) + "M",
-                     format_fixed(fast_cps / 1e6, 2) + "M",
-                     bench::fmt_x(speedup),
-                     legacy.sim_cycles == fast.sim_cycles ? "identical"
-                                                          : "DIVERGED"});
-      const std::string key = mode + "_" + sig;
-      report.add_metric("legacy_calls_per_sec_" + key, legacy_cps);
-      report.add_metric("fast_calls_per_sec_" + key, fast_cps);
-      report.add_metric("speedup_" + key, speedup);
-      report.add_metric("sim_cycles_" + key, fast.sim_cycles);
+    const RunResult r = run(pin.switchless, pin.primitive, n, reps);
+    const bool held = r.sim_cycles == expected;
+    if (!held) {
+      std::fprintf(stderr,
+                   "FATAL: %s simulated cycles %" PRIu64
+                   " differ from the pinned %" PRIu64
+                   " — the RMI path changed results\n",
+                   key.c_str(), r.sim_cycles, expected);
+      pins_held = false;
     }
+    if (pin.primitive && r.fast_path_calls != static_cast<std::uint64_t>(n)) {
+      std::fprintf(stderr,
+                   "FATAL: primitive fast path engaged on %" PRIu64
+                   " of %" PRId64 " calls\n",
+                   r.fast_path_calls, n);
+      pins_held = false;
+    }
+
+    const double cps = static_cast<double>(n) / r.wall_sec;
+    table.add_row({mode, sig, format_fixed(cps / 1e6, 2) + "M",
+                   std::to_string(r.sim_cycles),
+                   held ? "held" : "DIVERGED"});
+    report.add_metric("calls_per_sec_" + key, cps);
+    report.add_metric("sim_cycles_" + key, r.sim_cycles);
   }
   table.print();
   std::printf(
-      "\nLegacy = pre-overhaul string dispatch (per-call name hashing, "
-      "fresh buffers, eager\nref-encoder closures). Simulated cycles are "
-      "asserted identical: only host time changes.\n");
+      "\nSimulated cycles are pinned per scenario: only host time may "
+      "change.\n");
   if (!opt.json_path.empty()) {
     report.add_table("rmi_fastpath", table);
     if (!report.write(opt.json_path)) return 1;
   }
-  return cycles_identical ? 0 : 1;
+  return pins_held ? 0 : 1;
 }

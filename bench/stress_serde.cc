@@ -18,9 +18,9 @@
 // serialization charges of an enclave domain (armed — pays the MEE
 // factor) and of the untrusted domain (disarmed baseline), then through
 // the sealed-checkpoint path (encode -> seal -> wire blob -> deserialize
-// -> unseal -> decode). Gates: byte-identical re-encode for every shape
-// on both codecs, charge asymmetry in the enclave, and typed rejection of
-// a truncated sealed checkpoint.
+// -> unseal -> decode). Gates: each shape's wire bytes match a recorded
+// FNV-1a digest and re-encode byte-identically, charge asymmetry in the
+// enclave, and typed rejection of a truncated sealed checkpoint.
 #include <cinttypes>
 #include <string>
 
@@ -30,6 +30,7 @@
 #include "sgx/enclave.h"
 #include "sgx/sealing.h"
 #include "sim/env.h"
+#include "support/fnv.h"
 
 namespace msv {
 namespace {
@@ -91,7 +92,7 @@ struct ShapeResult {
   double disarmed_cycles = 0;  // untrusted-domain round trip
 };
 
-ShapeResult push_through(const Value& v) {
+ShapeResult push_through(const Value& v, std::uint64_t wire_digest) {
   const rmi::RefEncoder no_refs = [](ByteBuffer&, const rt::GcRef&) {
     throw RuntimeFault("stress_serde carries no refs");
   };
@@ -106,12 +107,10 @@ ShapeResult push_through(const Value& v) {
   r.elements = rmi::element_count(v);
   r.bytes = wire.size();
 
-  // The compat codec must agree byte-for-byte on every pathological
-  // shape, or the legacy benchmark baseline silently forks.
-  ByteBuffer compat_wire;
-  rmi::encode_value_compat(compat_wire, v, no_refs);
-  bench::stress::gate(wire.bytes() == compat_wire.bytes(),
-                      "generic and compat codecs must stay byte-equal");
+  // The wire format is pinned: every pathological shape must encode to
+  // the recorded bytes, or every serialize charge built on them moves.
+  bench::stress::gate(fnv1a64(wire.data(), wire.size()) == wire_digest,
+                      "wire bytes must match the recorded digest");
 
   ByteReader reader(wire);
   const Value back = rmi::decode_value(reader, no_ref_decode);
@@ -204,19 +203,24 @@ int main(int argc, char** argv) {
   constexpr std::size_t kWidth = 64;
   report.add_metric("iterations", static_cast<std::uint64_t>(depth));
 
+  // `wire_digest`: FNV-1a of the shape's encoded bytes at this scale.
   struct Shape {
     const char* name;
     Value value;
+    std::uint64_t wire_digest;
   };
   std::vector<Shape> shapes;
-  shapes.push_back({"deep", deep_chain(depth)});
-  shapes.push_back({"giant", giant_array(giant)});
-  shapes.push_back({"wide_shared", wide_shared(parents, kWidth)});
+  shapes.push_back({"deep", deep_chain(depth),
+                    opt.smoke ? 0xd2a18cf3038dd64cull : 0xa6defc2c3a94174cull});
+  shapes.push_back({"giant", giant_array(giant),
+                    opt.smoke ? 0x0f77a49cfec6522cull : 0xe8473adf9574d3a3ull});
+  shapes.push_back({"wide_shared", wide_shared(parents, kWidth),
+                    opt.smoke ? 0xd6db19c00259b949ull : 0xc2a5559226f4fd41ull});
 
   Table table({"shape", "elements", "wire bytes", "enclave cycles",
                "untrusted cycles", "MEE factor"});
   for (const Shape& s : shapes) {
-    const ShapeResult r = push_through(s.value);
+    const ShapeResult r = push_through(s.value, s.wire_digest);
     const double factor =
         r.disarmed_cycles > 0 ? r.armed_cycles / r.disarmed_cycles : 0;
     table.add_row({s.name, std::to_string(r.elements),

@@ -56,13 +56,16 @@ std::vector<Target> build_targets(const DriverOptions& options) {
     if (!in) throw ConfigError("cannot open " + path);
     std::ostringstream source;
     source << in.rdbuf();
-    targets.push_back({basename_of(path), dsl::parse_program(source.str())});
+    targets.push_back(
+        {basename_of(path), dsl::parse_program(source.str()), /*make_fs=*/{}});
   }
   if (options.bank) {
-    targets.push_back({"bank", apps::build_bank_app(/*with_audit=*/true)});
+    targets.push_back(
+        {"bank", apps::build_bank_app(/*with_audit=*/true), /*make_fs=*/{}});
   }
   if (options.micro) {
-    targets.push_back({"micro", apps::synthetic::build_micro_app()});
+    targets.push_back(
+        {"micro", apps::synthetic::build_micro_app(), /*make_fs=*/{}});
   }
   if (options.paldb) {
     // The paper's RTWU scheme over a small workload, so the optional
@@ -72,7 +75,8 @@ std::vector<Target> build_targets(const DriverOptions& options) {
     targets.push_back(
         {"paldb",
          apps::paldb::build_paldb_app(
-             apps::paldb::Scheme::kReaderTrustedWriterUntrusted, workload)});
+             apps::paldb::Scheme::kReaderTrustedWriterUntrusted, workload),
+         /*make_fs=*/{}});
   }
   if (options.graphchi) {
     // Small RMAT graph so the optional dry runs (--trace-native,
@@ -102,7 +106,8 @@ std::vector<Target> build_targets(const DriverOptions& options) {
          apps::specjvm::build_model(
              apps::specjvm::Benchmark::kFft,
              apps::specjvm::WorkloadSpec::defaults(
-                 apps::specjvm::Benchmark::kFft))});
+                 apps::specjvm::Benchmark::kFft)),
+         /*make_fs=*/{}});
   }
   if (options.synthetic_classes >= 0) {
     apps::synthetic::SyntheticSpec spec;
@@ -111,7 +116,7 @@ std::vector<Target> build_targets(const DriverOptions& options) {
     spec.secret_fraction = options.synthetic_secret;
     targets.push_back(
         {"synthetic-" + std::to_string(spec.n_classes),
-         apps::synthetic::generate(spec)});
+         apps::synthetic::generate(spec), /*make_fs=*/{}});
   }
   return targets;
 }
@@ -396,8 +401,7 @@ int run_driver(const DriverOptions& options, std::ostream& out,
       rules.erase(std::remove(rules.begin(), rules.end(), "MSV010"),
                   rules.end());
     }
-    const std::string json = total.to_json(rules, total.stats(), target_names,
-                                           options.json_version);
+    const std::string json = total.to_json(rules, total.stats(), target_names);
     if (options.json_path == "-") {
       out << json;
     } else {

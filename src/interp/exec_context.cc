@@ -54,8 +54,6 @@ const ClassDecl& ExecContext::class_of(const GcRef& obj) const {
 
 const MethodDecl* ExecContext::resolve_method(const ClassDecl& cls,
                                               const std::string& method) const {
-  // Legacy mode reproduces the pre-overhaul linear name scan.
-  if (!fast_paths_) return cls.find_method(method);
   auto it = method_index_.find(&cls);
   if (it == method_index_.end()) {
     MethodIndex index;
@@ -188,7 +186,7 @@ rt::Value ExecContext::invoke_method(const ClassDecl& cls,
   switch (method.kind()) {
     case MethodKind::kIr: {
       if (verify_bytecode_) ensure_verified(cls, method);
-      if (fast_paths_ && !self.is_null()) {
+      if (!self.is_null()) {
         // Quickened bodies replicate exec_ir's op count and charges; null
         // receivers fall through so the generic loop raises its errors.
         const QuickInfo q = quick_info(method);
@@ -381,20 +379,18 @@ rt::Value ExecContext::exec_ir(const ClassDecl& cls, const MethodDecl& method,
   const model::IrBody& ir = method.ir();
 
   // Locals: `this` at 0 for instance methods, then parameters. Both frame
-  // vectors come from the pool and go back on every exit path (legacy mode
-  // allocates fresh ones, like the pre-overhaul interpreter).
-  std::vector<Value> locals = fast_paths_ ? frame_take() : std::vector<Value>();
-  std::vector<Value> stack = fast_paths_ ? frame_take() : std::vector<Value>();
+  // vectors come from the pool and go back on every exit path.
+  std::vector<Value> locals = frame_take();
+  std::vector<Value> stack = frame_take();
   struct FrameGuard {
-    ExecContext* ctx;  // null: pooling disabled
+    ExecContext* ctx;
     std::vector<Value>* locals;
     std::vector<Value>* stack;
     ~FrameGuard() {
-      if (ctx == nullptr) return;
       ctx->frame_put(std::move(*locals));
       ctx->frame_put(std::move(*stack));
     }
-  } frame_guard{fast_paths_ ? this : nullptr, &locals, &stack};
+  } frame_guard{this, &locals, &stack};
   locals.resize(
       std::max<std::size_t>(ir.local_count,
                             args.size() + (method.is_static() ? 0 : 1)));

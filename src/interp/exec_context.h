@@ -45,12 +45,6 @@ class ExecContext {
   // Wires the RMI layer in; may stay null for unpartitioned images.
   void set_remote(RemoteInvoker* remote) { remote_ = remote; }
 
-  // Hot-path machinery (cached method resolution, pooled frame vectors).
-  // On by default; disabled by AppConfig::fast_rmi = false so the RMI
-  // benchmark can compare against the legacy allocate-and-scan shape.
-  // Simulated cycle charges are identical either way.
-  void set_fast_paths(bool v) { fast_paths_ = v; }
-
   // Verify gate (AppConfig::verify_bytecode): refuse to execute any kIr
   // body that fails analysis::verify, raising TrapError at first dispatch
   // instead of trapping mid-method. Verdicts are cached per MethodDecl
@@ -86,7 +80,7 @@ class ExecContext {
                           const model::MethodDecl& method,
                           const rt::GcRef& self, std::vector<rt::Value>& args);
 
-  // Quickening (fast mode): trivial setter/getter bodies — the dominant
+  // Quickening: trivial setter/getter bodies — the dominant
   // RMI relay targets (§6.3 measures "setter methods updating an object
   // field") — execute directly instead of through the generic IR loop.
   // Op counts and cycle charges replicate exec_ir exactly.
@@ -203,7 +197,6 @@ class ExecContext {
       method_index_;
   std::vector<std::vector<rt::Value>> frame_pool_;
   mutable std::unordered_map<const model::MethodDecl*, QuickInfo> quick_;
-  bool fast_paths_ = true;
   ExecStats stats_;
   bool tracing_ = false;
   std::set<std::pair<std::string, std::string>> traced_;

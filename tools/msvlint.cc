@@ -36,15 +36,16 @@
 //     --baseline=FILE        suppress findings listed in FILE
 //     --write-baseline=FILE  write a baseline covering current findings
 //     --json=FILE            emit JSON report to FILE ('-' for stdout)
-//     --json-v1              emit the legacy msvlint-report-v1 schema
 //     --quiet                summary only, no per-finding lines
 //
 // Exit status: 0 clean (or only warnings/suppressed), 1 unsuppressed
-// errors or failed --fix verification, 2 usage or I/O failure.
+// errors or failed --fix verification, 2 usage or I/O failure (a numeric
+// flag whose value is not exactly one number is a usage error).
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "apps/msvlint/driver.h"
 
@@ -59,7 +60,7 @@ int usage() {
       "               [--fix] [--plan-out=FILE] [--plan-seed=N]\n"
       "               [--min-gain=F] [--verify-only] [--list-rules]\n"
       "               [--baseline=FILE] [--write-baseline=FILE]\n"
-      "               [--json=FILE] [--json-v1] [--quiet]\n",
+      "               [--json=FILE] [--quiet]\n",
       stderr);
   return 2;
 }
@@ -69,6 +70,19 @@ bool parse_value(const std::string& arg, const std::string& flag,
   if (arg.rfind(flag + "=", 0) != 0) return false;
   *value = arg.substr(flag.size() + 1);
   return true;
+}
+
+// Parses the value of `arg` (--flag=VALUE) as exactly one number: "abc",
+// "12x" or "" is rejected with a message naming the flag, never read as 0
+// or a prefix.
+template <typename T>
+bool parse_number(const std::string& arg, T* out) {
+  const char* begin = arg.data() + arg.find('=') + 1;
+  const char* end = arg.data() + arg.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, *out);
+  if (ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "msvlint: %s: expected a number\n", arg.c_str());
+  return false;
 }
 
 }  // namespace
@@ -91,11 +105,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--synthetic") {
       options.synthetic_classes = 100;
     } else if (parse_value(arg, "--synthetic", &value)) {
-      options.synthetic_classes = std::atoi(value.c_str());
+      if (!parse_number(arg, &options.synthetic_classes)) return usage();
     } else if (parse_value(arg, "--untrusted-fraction", &value)) {
-      options.synthetic_untrusted = std::atof(value.c_str());
+      if (!parse_number(arg, &options.synthetic_untrusted)) return usage();
     } else if (parse_value(arg, "--secret-fraction", &value)) {
-      options.synthetic_secret = std::atof(value.c_str());
+      if (!parse_number(arg, &options.synthetic_secret)) return usage();
     } else if (arg == "--trace-native") {
       options.trace_native = true;
     } else if (arg == "--trust") {
@@ -107,12 +121,9 @@ int main(int argc, char** argv) {
     } else if (parse_value(arg, "--plan-out", &value)) {
       options.plan_out = value;
     } else if (parse_value(arg, "--plan-seed", &value)) {
-      options.plan_seed =
-          static_cast<std::uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
+      if (!parse_number(arg, &options.plan_seed)) return usage();
     } else if (parse_value(arg, "--min-gain", &value)) {
-      options.plan_min_gain = std::atof(value.c_str());
-    } else if (arg == "--json-v1") {
-      options.json_version = 1;
+      if (!parse_number(arg, &options.plan_min_gain)) return usage();
     } else if (arg == "--verify-only") {
       options.verify_only = true;
     } else if (arg == "--list-rules") {

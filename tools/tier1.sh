@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure + build + full test suite (ROADMAP.md), then
-# smoke passes of the honesty-contract ablations so regressions that only
-# show up as cycle divergence (RMI fast path vs legacy, switchless ring
-# vs inline) fail fast too.
+# Tier-1 gate: configure + build + full test suite (ROADMAP.md), then the
+# post-build gates in tools/tier1_gates.sh.
 #
 # Usage: tools/tier1.sh [build-dir]   (default: build)
 # Also wired as the CMake `check` target: cmake --build build --target check
@@ -14,98 +12,4 @@ BUILD_DIR="${1:-build}"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
-
-"$BUILD_DIR"/bench/abl_rmi_fastpath --smoke > /dev/null
-"$BUILD_DIR"/bench/abl_switchless --smoke > /dev/null
-
-# Batched-RMI smoke (DESIGN.md §13): aborts unless batch width 1 is
-# cycle-identical to the unbatched path and width >= 16 clears the 5x
-# amortization gate.
-"$BUILD_DIR"/bench/abl_rmi_batch --smoke \
-  --json="$BUILD_DIR"/BENCH_rmi_batch.json > /dev/null
-
-# Fault-storm smoke (DESIGN.md §12): a seeded loss/transition/EPC/TCS/
-# corruption storm through the serving layer, run twice — the binary
-# aborts unless both runs agree bit-for-bit on clocks and counters, and
-# unless the server stays partially available under the storm.
-"$BUILD_DIR"/bench/fig_faults --smoke \
-  --json="$BUILD_DIR"/BENCH_faults.json > /dev/null
-
-# Fleet smoke (DESIGN.md §14 + §16): 64 Zipfian tenants over a sharded
-# enclave fleet — ring routing, a loss storm served by warm-standby
-# promotion vs the restart ladder (promotion must win the p99 by >= 3x),
-# a hot-tenant migration, a fleet-wide two-run determinism self-check,
-# and the health-under-storm scenario (SLO monitor + flight recorder +
-# profiler armed at zero simulated-cycle cost; artifacts below).
-"$BUILD_DIR"/bench/fig_fleet --smoke \
-  --json="$BUILD_DIR"/BENCH_fleet.json \
-  --health-out="$BUILD_DIR"/fleet_health.txt \
-  --postmortem-out="$BUILD_DIR"/fleet_postmortem.json \
-  --folded-out="$BUILD_DIR"/fleet_folded.txt > /dev/null
-
-# msvmon must parse every artifact the health stack just wrote (exit 2 =
-# malformed bundle; the post-mortems are only useful if they open).
-"$BUILD_DIR"/tools/msvmon --health="$BUILD_DIR"/fleet_health.txt \
-  --postmortem="$BUILD_DIR"/fleet_postmortem.json \
-  --folded="$BUILD_DIR"/fleet_folded.txt --summary
-
-# Perf-regression gate (DESIGN.md §16): fresh smoke reports vs the
-# checked-in baselines — fail on >10% throughput drop or >20% p99 rise.
-# (Counters and clocks are exact by determinism; the bands only absorb
-# legitimate re-baselines, not drift.)
-tools/bench_diff.py BENCH_fleet.json "$BUILD_DIR"/BENCH_fleet.json
-tools/bench_diff.py BENCH_health.json "$BUILD_DIR"/BENCH_fleet.json
-tools/bench_diff.py BENCH_faults.json "$BUILD_DIR"/BENCH_faults.json
-tools/bench_diff.py BENCH_rmi_batch.json "$BUILD_DIR"/BENCH_rmi_batch.json
-
-# msvlint must stay clean over the whole example/app corpus — including
-# the §6.5/§6.6 app models and the value-trust analysis feeding MSV010 —
-# with the native-edge dry run feeding MSV004 (exit 1 = unsuppressed lint
-# errors; MSV010 demotion candidates are informational).
-"$BUILD_DIR"/tools/msvlint examples/*.msv --bank --micro --paldb \
-  --graphchi --specjvm --synthetic=40 --trace-native --trust \
-  --quiet > /dev/null
-
-# msvlint --fix dry-run smoke (DESIGN.md §15): profile the fig06-style
-# workload, run the trust analysis + min-cut optimizer, apply the plan and
-# replay original vs re-partitioned twice each — exits 1 unless all four
-# runs are byte-identical and crossings do not regress.
-"$BUILD_DIR"/tools/msvlint --synthetic=16 --untrusted-fraction=0 \
-  --secret-fraction=0.25 --fix --quiet > /dev/null
-
-# Partition-optimizer smoke (DESIGN.md §15): aborts unless the optimized
-# partition replays byte-identically (2+2 runs), keeps every
-# secret-carrying class inside, and cuts boundary crossings >= 20%.
-"$BUILD_DIR"/bench/abl_partition --smoke \
-  --json="$BUILD_DIR"/BENCH_partition.json > /dev/null
-tools/bench_diff.py BENCH_partition.json "$BUILD_DIR"/BENCH_partition.json
-
-# Stress smoke tier (DESIGN.md §17): the five adversarial-workload
-# stressors, each its own abort-on-gate acceptance test — the EPC paging
-# cliff curve + mid-run shrink, GC allocation storms + weakref churn,
-# pathological serde shapes + sealed checkpoints, TCS exhaustion, and the
-# fault storm under overload with the health stack armed. Their reports
-# merge into one BENCH_stress.json gated against the checked-in baseline
-# (the suite is deterministic, so smoke-vs-smoke compares exactly).
-for s in epc gc serde tcs storm; do
-  "$BUILD_DIR"/bench/stress_$s --smoke \
-    --json="$BUILD_DIR"/stress_$s.json > /dev/null
-done
-tools/stress_report.py --out "$BUILD_DIR"/BENCH_stress.json \
-  epc="$BUILD_DIR"/stress_epc.json gc="$BUILD_DIR"/stress_gc.json \
-  serde="$BUILD_DIR"/stress_serde.json tcs="$BUILD_DIR"/stress_tcs.json \
-  storm="$BUILD_DIR"/stress_storm.json > /dev/null
-tools/bench_diff.py BENCH_stress.json "$BUILD_DIR"/BENCH_stress.json
-
-# bench_diff's own contract (gating bands, scale-key skip, empty-
-# intersection hard failure) is load-bearing for every gate above.
-python3 tools/test_bench_diff.py > /dev/null
-
-# Telemetry smoke: a traced serving run must emit a valid Chrome trace
-# with the full span taxonomy linked by trace context (DESIGN.md §10).
-"$BUILD_DIR"/bench/fig_server --smoke \
-  --trace-out="$BUILD_DIR"/fig_server_trace.json \
-  --metrics-out="$BUILD_DIR"/fig_server_metrics.txt > /dev/null
-tools/check_trace.py "$BUILD_DIR"/fig_server_trace.json
-
-echo "tier1: tests + ablations + batched-rmi + fault-storm + msvlint + partition-optimizer + telemetry-trace + health/bench-diff + stress smoke OK"
+tools/tier1_gates.sh "$BUILD_DIR"
