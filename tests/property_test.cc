@@ -234,6 +234,12 @@ struct RmiParam {
   rmi::HashScheme scheme;
 };
 
+// Same reason as PaldbParam: the struct has padding after `scheme`.
+void PrintTo(const RmiParam& p, std::ostream* os) {
+  *os << "seed" << p.seed
+      << (p.scheme == rmi::HashScheme::kMd5 ? "_md5" : "_identity");
+}
+
 class RmiConsistency : public ::testing::TestWithParam<RmiParam> {};
 
 TEST_P(RmiConsistency, PartitionedStateMatchesShadowLedger) {

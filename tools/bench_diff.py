@@ -1,44 +1,58 @@
 #!/usr/bin/env python3
 """bench_diff.py — the perf-regression gate (DESIGN.md §16).
 
-Compares a freshly produced BENCH_*.json against the checked-in baseline
-and fails when the run regressed past the tolerance bands:
+Compares a freshly produced BENCH_*.json against the checked-in baseline.
+Simulated numbers are the contract (ROADMAP.md), so the gate is exact:
 
-  * throughput-like metrics (``*_throughput_rps``, ``*_rps``): FAIL when
-    the candidate is more than --throughput-tol (default 10%) BELOW the
-    baseline;
-  * tail-latency metrics (``*_p99_us``, ``*_p99_cycles``): FAIL when the
-    candidate is more than --p99-tol (default 20%) ABOVE the baseline;
-  * everything else: informational only (printed with --verbose) — counts
-    move legitimately when scenarios change, and the simulator's own
-    determinism self-checks already guard exactness within a run.
+  * every metric of the baseline must be present in the candidate with
+    exactly the same value — counters, clocks, cycle totals, latency
+    quantiles and throughputs alike;
+  * the only exception is host-time metrics, chosen by name: keys
+    starting with ``calls_per_sec_`` (wall-clock call rates) or ending in
+    ``wall_ms`` (wall-clock durations). They vary from run to run and are
+    printed with --verbose, never gated;
+  * on top of exactness the tolerance bands still apply: throughput-like
+    metrics (``*_throughput_rps``, ``*_rps``) FAIL when the candidate is
+    more than --throughput-tol (default 10%) BELOW the baseline, and
+    tail-latency metrics (``*_p99_us``, ``*_p99_cycles``) FAIL when it is
+    more than --p99-tol (default 20%) ABOVE. The bands name the direction
+    of a regression in the failure message; exactness catches the rest.
 
 Only the ``metrics`` object is compared (checked-in artifacts carry extra
-post-processed keys like ``git_sha``), and only over the intersection of
-keys: a new scenario adds keys without breaking the gate, and a removed
-one drops out the next time the baseline is refreshed. An *empty*
-intersection, however, is a hard failure: it means every key was renamed
-(or the wrong files were paired) and the gate would silently compare
-nothing — exactly the rot this tool exists to prevent.
+post-processed keys like ``git_sha``). Keys the candidate adds are
+informational — a baseline may pin a subset, as BENCH_health.json does
+for the fig_fleet run. A baseline key the candidate lacks fails the gate:
+the baseline is stale and must be regenerated. An *empty* intersection is
+a hard failure too: it means every key was renamed (or the wrong files
+were paired) and the gate would silently compare nothing — exactly the
+rot this tool exists to prevent.
 
 Scale guard: when the two files disagree on workload-scale keys
-(``requests``, ``tenants``, ``iterations``) the comparison would be
-meaningless — e.g. a --smoke run against a full-length baseline — so the
-gate exits 0 with a notice instead of crying wolf.
+(``requests``, ``requests_per_tenant``, ``tenants``, ``iterations``,
+``invocations``, ``n_classes``, ``ops``, ``calls``) the comparison would
+be meaningless — e.g. a --smoke run against a full-length baseline — so
+the gate exits 0 with a notice instead of crying wolf.
 
 Usage:
     bench_diff.py BASELINE CANDIDATE [--throughput-tol=0.10]
                   [--p99-tol=0.20] [--verbose]
 
-Exit status: 0 = within bands (or scale-skipped), 1 = regression or an
-empty metric-key intersection, 2 = unreadable/malformed input.
+Exit status: 0 = exact match and within bands (or scale-skipped),
+1 = a changed or missing metric, a band regression or an empty
+metric-key intersection, 2 = unreadable/malformed input.
 """
 
 import argparse
 import json
 import sys
 
-SCALE_KEYS = ("requests", "tenants", "iterations", "ops", "calls")
+SCALE_KEYS = ("requests", "requests_per_tenant", "tenants", "iterations",
+              "invocations", "n_classes", "ops", "calls")
+
+
+def is_host_time(key):
+    """Wall-clock metrics: the only keys exempt from the exact gate."""
+    return key.startswith("calls_per_sec_") or key.endswith("wall_ms")
 
 
 def is_throughput(key):
@@ -114,9 +128,20 @@ def main():
             return 0
 
     failures = []
+    for key in sorted(set(base) - set(cand)):
+        if not is_host_time(key):
+            failures.append(f"  FAIL {key}: missing from the candidate "
+                            f"(baseline {base[key]:g})")
     gated = 0
+    exact = 0
     for key in common:
         b, c = base[key], cand[key]
+        if is_host_time(key):
+            if args.verbose and b != c:
+                delta = (c / b - 1.0) * 100 if b else float("inf")
+                print(f"  host {key}: {c:g} vs {b:g} ({delta:+.1f}%)")
+            continue
+        exact += 1
         if is_throughput(key):
             gated += 1
             if b > 0 and c < b * (1.0 - args.throughput_tol):
@@ -124,9 +149,7 @@ def main():
                     f"  FAIL {key}: {c:g} vs baseline {b:g} "
                     f"({(c / b - 1.0) * 100:+.1f}%, tolerance "
                     f"-{args.throughput_tol * 100:.0f}%)")
-            elif args.verbose:
-                delta = (c / b - 1.0) * 100 if b else 0.0
-                print(f"  ok   {key}: {c:g} vs {b:g} ({delta:+.1f}%)")
+                continue
         elif is_p99(key):
             gated += 1
             if b > 0 and c > b * (1.0 + args.p99_tol):
@@ -134,23 +157,25 @@ def main():
                     f"  FAIL {key}: {c:g} vs baseline {b:g} "
                     f"({(c / b - 1.0) * 100:+.1f}%, tolerance "
                     f"+{args.p99_tol * 100:.0f}%)")
-            elif args.verbose:
-                delta = (c / b - 1.0) * 100 if b else 0.0
-                print(f"  ok   {key}: {c:g} vs {b:g} ({delta:+.1f}%)")
-        elif args.verbose and b != c:
+                continue
+        if b != c:
             delta = (c / b - 1.0) * 100 if b else float("inf")
-            print(f"  info {key}: {c:g} vs {b:g} ({delta:+.1f}%)")
+            failures.append(f"  FAIL {key}: {c:.17g} vs baseline {b:.17g} "
+                            f"({delta:+.4f}%, exact gate)")
+        elif args.verbose:
+            print(f"  ok   {key}: {c:g}")
 
     if failures:
-        print(f"bench_diff: {base_name}: {len(failures)} regression(s) "
-              f"past tolerance ({gated} gated metrics):")
+        print(f"bench_diff: {base_name}: {len(failures)} metric(s) differ "
+              f"from the baseline ({exact} compared exactly, {gated} also "
+              "banded):")
         print("\n".join(failures))
         return 1
-    print(f"bench_diff: {base_name}: OK — {gated} gated metrics within "
-          f"bands (-{args.throughput_tol * 100:.0f}% throughput / "
-          f"+{args.p99_tol * 100:.0f}% p99), {len(common)} compared")
+    print(f"bench_diff: {base_name}: OK — {exact} metrics exact "
+          f"({gated} also within -{args.throughput_tol * 100:.0f}% "
+          f"throughput / +{args.p99_tol * 100:.0f}% p99 bands), "
+          f"{len(common) - exact} host-time skipped")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

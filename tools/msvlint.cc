@@ -106,6 +106,12 @@ int main(int argc, char** argv) {
       options.synthetic_classes = 100;
     } else if (parse_value(arg, "--synthetic", &value)) {
       if (!parse_number(arg, &options.synthetic_classes)) return usage();
+      // A negative count would silently mean "no generator target".
+      if (options.synthetic_classes < 0) {
+        std::fprintf(stderr, "msvlint: %s: expected a non-negative count\n",
+                     arg.c_str());
+        return usage();
+      }
     } else if (parse_value(arg, "--untrusted-fraction", &value)) {
       if (!parse_number(arg, &options.synthetic_untrusted)) return usage();
     } else if (parse_value(arg, "--secret-fraction", &value)) {

@@ -13,18 +13,25 @@ cd "$(dirname "$0")/.."
 "$BUILD_DIR"/bench/abl_rmi_fastpath --smoke > /dev/null
 "$BUILD_DIR"/bench/abl_switchless --smoke > /dev/null
 
-# Batched-RMI smoke (DESIGN.md §13): aborts unless batch width 1 is
-# cycle-identical to the unbatched path and width >= 16 clears the 5x
-# amortization gate.
-"$BUILD_DIR"/bench/abl_rmi_batch --smoke \
+# Batched RMI at full scale (DESIGN.md §13, 0.2 s): aborts unless batch
+# width 1 is cycle-identical to the unbatched path and width >= 16 clears
+# the 5x amortization gate.
+"$BUILD_DIR"/bench/abl_rmi_batch \
   --json="$BUILD_DIR"/BENCH_rmi_batch.json > /dev/null
 
-# Fault-storm smoke (DESIGN.md §12): a seeded loss/transition/EPC/TCS/
-# corruption storm through the serving layer, run twice — the binary
-# aborts unless both runs agree bit-for-bit on clocks and counters, and
-# unless the server stays partially available under the storm.
-"$BUILD_DIR"/bench/fig_faults --smoke \
+# Fault storm at full scale (DESIGN.md §12, 30 ms): a seeded loss/
+# transition/EPC/TCS/corruption storm through the serving layer, run
+# twice — the binary aborts unless both runs agree bit-for-bit on clocks
+# and counters, and unless the server stays partially available under
+# the storm.
+"$BUILD_DIR"/bench/fig_faults \
   --json="$BUILD_DIR"/BENCH_faults.json > /dev/null
+
+# Multi-tenant request server at full scale (DESIGN.md §8, 0.2 s): load,
+# TCS, switchless and coalescing sweeps with a two-run determinism
+# self-check.
+"$BUILD_DIR"/bench/fig_server \
+  --json="$BUILD_DIR"/BENCH_server.json > /dev/null
 
 # Fleet smoke (DESIGN.md §14 + §16): 64 Zipfian tenants over a sharded
 # enclave fleet — ring routing, a loss storm served by warm-standby
@@ -44,14 +51,14 @@ cd "$(dirname "$0")/.."
   --postmortem="$BUILD_DIR"/fleet_postmortem.json \
   --folded="$BUILD_DIR"/fleet_folded.txt --summary
 
-# Perf-regression gate (DESIGN.md §16): fresh smoke reports vs the
-# checked-in baselines — fail on >10% throughput drop or >20% p99 rise.
-# (Counters and clocks are exact by determinism; the bands only absorb
-# legitimate re-baselines, not drift.)
+# Regression gate (DESIGN.md §16): fresh reports vs the checked-in
+# baselines of the same scale. Every simulated metric must match exactly;
+# only host-time keys are exempt (tools/bench_diff.py).
 tools/bench_diff.py BENCH_fleet.json "$BUILD_DIR"/BENCH_fleet.json
 tools/bench_diff.py BENCH_health.json "$BUILD_DIR"/BENCH_fleet.json
 tools/bench_diff.py BENCH_faults.json "$BUILD_DIR"/BENCH_faults.json
 tools/bench_diff.py BENCH_rmi_batch.json "$BUILD_DIR"/BENCH_rmi_batch.json
+tools/bench_diff.py BENCH_server.json "$BUILD_DIR"/BENCH_server.json
 
 # msvlint must stay clean over the whole example/app corpus — including
 # the §6.5/§6.6 app models and the value-trust analysis feeding MSV010 —
@@ -68,10 +75,10 @@ tools/bench_diff.py BENCH_rmi_batch.json "$BUILD_DIR"/BENCH_rmi_batch.json
 "$BUILD_DIR"/tools/msvlint --synthetic=16 --untrusted-fraction=0 \
   --secret-fraction=0.25 --fix --quiet > /dev/null
 
-# Partition-optimizer smoke (DESIGN.md §15): aborts unless the optimized
-# partition replays byte-identically (2+2 runs), keeps every
-# secret-carrying class inside, and cuts boundary crossings >= 20%.
-"$BUILD_DIR"/bench/abl_partition --smoke \
+# Partition optimizer at full scale (DESIGN.md §15, 18 ms): aborts unless
+# the optimized partition replays byte-identically (2+2 runs), keeps
+# every secret-carrying class inside, and cuts boundary crossings >= 20%.
+"$BUILD_DIR"/bench/abl_partition \
   --json="$BUILD_DIR"/BENCH_partition.json > /dev/null
 tools/bench_diff.py BENCH_partition.json "$BUILD_DIR"/BENCH_partition.json
 
@@ -92,8 +99,8 @@ tools/stress_report.py --out "$BUILD_DIR"/BENCH_stress.json \
   storm="$BUILD_DIR"/stress_storm.json > /dev/null
 tools/bench_diff.py BENCH_stress.json "$BUILD_DIR"/BENCH_stress.json
 
-# bench_diff's own contract (gating bands, scale-key skip, empty-
-# intersection hard failure) is load-bearing for every gate above.
+# bench_diff's own contract (exact gate, host-time name rule, bands,
+# scale-key skip, empty-intersection hard failure) is load-bearing for every gate above.
 python3 tools/test_bench_diff.py > /dev/null
 
 # Telemetry smoke: a traced serving run must emit a valid Chrome trace
