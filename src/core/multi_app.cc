@@ -98,9 +98,11 @@ void MultiIsolateApp::build(const model::AppModel& app,
       env_, *untrusted_iso_, untrusted_image_.classes, *host_io_,
       std::move(intrinsics));
 
-  rmi_ = std::make_unique<rmi::MultiIsolateRuntime>(
-      env_, *bridge_, trusted_ptrs, *untrusted_ctx_,
-      rmi::MultiIsolateRuntime::Config{config_.hash_scheme});
+  // The addressed form of the RMI runtime (rmi/proxy_runtime.h).
+  rmi::ProxyRuntime::Config rmi_config;
+  rmi_config.hash_scheme = config_.hash_scheme;
+  rmi_ = std::make_unique<rmi::ProxyRuntime>(env_, *bridge_, trusted_ptrs,
+                                             *untrusted_ctx_, rmi_config);
   rmi_->register_handlers();
   for (auto& ctx : trusted_ctxs_) ctx->set_remote(rmi_.get());
   untrusted_ctx_->set_remote(rmi_.get());

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/app.h"
-#include "rmi/multi_isolate.h"
+#include "rmi/proxy_runtime.h"
 
 namespace msv::core {
 
@@ -46,7 +46,7 @@ class MultiIsolateApp {
 
   interp::ExecContext& untrusted_context() { return *untrusted_ctx_; }
   interp::ExecContext& trusted_context(std::uint32_t index);
-  rmi::MultiIsolateRuntime& rmi() { return *rmi_; }
+  rmi::ProxyRuntime& rmi() { return *rmi_; }
   sgx::TransitionBridge& bridge() { return *bridge_; }
   sgx::Enclave& enclave() { return *enclave_; }
 
@@ -87,7 +87,7 @@ class MultiIsolateApp {
   std::unique_ptr<shim::EnclaveShim> enclave_shim_;
   std::vector<std::unique_ptr<interp::ExecContext>> trusted_ctxs_;
   std::unique_ptr<interp::ExecContext> untrusted_ctx_;
-  std::unique_ptr<rmi::MultiIsolateRuntime> rmi_;
+  std::unique_ptr<rmi::ProxyRuntime> rmi_;
 };
 
 }  // namespace msv::core

@@ -312,7 +312,7 @@ void Shard::execute_batch(Slot& slot, std::vector<Pending*>& batch) {
     core::MultiIsolateApp& app = active_app();
     const model::ClassDecl& cls =
         app.untrusted_context().class_of(slot.state.session.as_ref());
-    std::vector<rmi::MultiIsolateRuntime::BatchCall> calls(batch.size());
+    std::vector<rmi::ProxyRuntime::BatchCall> calls(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Pending& p = *batch[i];
       calls[i].proxy = slot.state.session.as_ref();
@@ -323,7 +323,7 @@ void Shard::execute_batch(Slot& slot, std::vector<Pending*>& batch) {
         calls[i].stub = cls.find_method("getBalance");
       }
     }
-    const std::vector<rmi::MultiIsolateRuntime::BatchOutcome> outcomes =
+    const std::vector<rmi::ProxyRuntime::BatchOutcome> outcomes =
         app.rmi().invoke_batch(calls);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Pending* p = batch[i];

@@ -3,8 +3,9 @@
 // Every proxy invocation pays a full enclave transition (~13,100 cycles)
 // plus an isolate attach on the callee side (~480,000 cycles for the
 // trusted image) — the dominant cost on chatty partitioned workloads.
-// This header holds the pieces shared by the two batching runtimes
-// (ProxyRuntime and MultiIsolateRuntime):
+// This header holds the pieces shared by both forms of ProxyRuntime (the
+// async batches of the two-sided form and the explicit invoke_batch of
+// the addressed form):
 //
 //   * the batch wire frame: N per-call payloads packed into one request
 //     buffer, dispatched by a single bridge transition, with the packed

@@ -12,7 +12,7 @@
 #include "faults/injector.h"
 #include "faults/plan.h"
 #include "fleet/router.h"
-#include "rmi/multi_isolate.h"
+#include "rmi/proxy_runtime.h"
 #include "sched/scheduler.h"
 #include "server/server.h"
 #include "sgx/enclave.h"

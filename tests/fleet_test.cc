@@ -15,7 +15,7 @@
 #include "fleet/ring.h"
 #include "fleet/router.h"
 #include "fleet/shard.h"
-#include "rmi/multi_isolate.h"
+#include "rmi/proxy_runtime.h"
 #include "sched/scheduler.h"
 #include "server/tenant_state.h"
 #include "sim/env.h"
