@@ -60,9 +60,9 @@ void FleetRouter::start() {
   }
   if (env_.telemetry.metrics_enabled()) {
     for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-      shards_[k]->latency_hist = &env_.telemetry.metrics().histogram(
+      shards_[k]->set_latency_histogram(&env_.telemetry.metrics().histogram(
           "msv_fleet_request_latency_cycles",
-          {{"shard", std::to_string(k)}});
+          {{"shard", std::to_string(k)}}));
     }
   }
   started_ = true;
@@ -224,18 +224,7 @@ FleetStats FleetRouter::stats() const {
   out.migrations = migrations_;
   for (const auto& shard : shards_) {
     const ShardStats& s = shard->stats();
-    out.accepted += s.accepted;
-    out.shed += s.shed;
-    out.shed_recovery += s.shed_recovery;
-    out.shed_migrating += s.shed_migrating;
-    out.completed += s.completed;
-    out.failed += s.failed;
-    out.retries += s.retries;
-    out.checkpoints += s.checkpoints;
-    out.replicated_blobs += s.replicated_blobs;
-    out.replicated_bytes += s.replicated_bytes;
-    out.restored += s.restored;
-    out.checkpoint_corrupt += s.checkpoint_corrupt;
+    out += s;
     out.promotions += s.promotions;
     out.restarts += s.restarts;
     out.standby_rebuilds += s.standby_rebuilds;

@@ -46,21 +46,9 @@ struct FleetConfig {
 };
 
 // Aggregated across shards, plus the router's own counters.
-struct FleetStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t shed = 0;
+struct FleetStats : server::ServeCounters {
   std::uint64_t shed_admission = 0;  // shed at the router's fleet-level cap
   std::uint64_t shed_slo = 0;        // shed because the shard is critical
-  std::uint64_t shed_recovery = 0;
-  std::uint64_t shed_migrating = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t replicated_blobs = 0;
-  std::uint64_t replicated_bytes = 0;
-  std::uint64_t restored = 0;
-  std::uint64_t checkpoint_corrupt = 0;
   std::uint64_t promotions = 0;
   std::uint64_t restarts = 0;
   std::uint64_t standby_rebuilds = 0;

@@ -1,9 +1,9 @@
 // Per-tenant session + sealed-checkpoint state (DESIGN.md §12/§14).
 //
-// Factored out of RequestServer::Tenant so every consumer of the
-// checkpoint primitive — the single-enclave request server, the fleet's
-// shards and the replica streams between them — speaks exactly one
-// checkpoint format. The payload layout and the IV-seed formula are
+// Held by every serving-core slot (serving_core.h), so every consumer of
+// the checkpoint primitive — the single-enclave request server, the
+// fleet's shards and the replica streams between them — speaks exactly
+// one checkpoint format. The payload layout and the IV-seed formula are
 // load-bearing: fig_faults' two-run determinism check compares sealed
 // bytes produced before and after this refactor, and a fleet promotion
 // unseals on a *different* enclave than the one that sealed (legal
@@ -29,10 +29,11 @@ namespace msv::server {
 struct TenantState {
   // Untrusted-side proxy of the tenant's session object ("Account").
   rt::Value session;
-  // Enclave epoch `session` was minted under. A recovery pass is complete
-  // only when this matches the serving enclave's epoch; a fault striking
-  // mid-restore leaves the rest stale and the next pass resumes there.
-  std::uint64_t session_epoch = 0;
+  // Serving-core generation `session` was built under (0 = never built).
+  // The session is current only while this matches the core's generation;
+  // a fault striking mid-restore leaves the rest stale and the next pass
+  // resumes there.
+  std::uint64_t session_generation = 0;
   // Latest sealed checkpoint exactly as it sits in untrusted storage (and
   // so exactly what a corruption fault flips bits in). Empty = none.
   std::vector<std::uint8_t> checkpoint;

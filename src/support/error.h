@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace msv {
 
@@ -47,10 +48,23 @@ class TrapError : public RuntimeFault {
 };
 
 namespace detail {
+// `file` relative to the repository root, which this header finds from its
+// own path (src/support/error.h). Check messages name files this way, so
+// their text — which a failed call inside an RMI batch carries back
+// in-band, as charged payload — does not depend on where the tree is
+// checked out.
+inline const char* repo_relative(const char* file) {
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view tail = "src/support/error.h";
+  if (!self.ends_with(tail)) return file;
+  const std::string_view root = self.substr(0, self.size() - tail.size());
+  return std::string_view(file).starts_with(root) ? file + root.size() : file;
+}
+
 [[noreturn]] inline void check_failed(const char* expr, const char* file,
                                       int line, const std::string& msg) {
-  throw RuntimeFault(std::string("check failed: ") + expr + " at " + file +
-                     ":" + std::to_string(line) +
+  throw RuntimeFault(std::string("check failed: ") + expr + " at " +
+                     repo_relative(file) + ":" + std::to_string(line) +
                      (msg.empty() ? "" : (": " + msg)));
 }
 }  // namespace detail

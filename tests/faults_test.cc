@@ -507,6 +507,57 @@ TEST(ServerRecoveryTest, CorruptCheckpointIsRejectedAndFallsBack) {
   srv.stop();
 }
 
+// A checkpoint whose balance read faults must not roll the seal sequence
+// back: the next seal takes a fresh seq, and with it a fresh IV, instead of
+// re-using the last blob's keystream for a different balance.
+TEST(ServerRecoveryTest, FailedCheckpointNeverReusesSealSequenceOrIv) {
+  core::MultiIsolateApp app(apps::build_bank_app(), 1, {});
+  sched::Scheduler sched(app.env());
+  server::RequestServer srv(sched, app, recovery_config(1));
+  srv.start();
+  const sgx::SealingPlatform sealer(server::RecoveryConfig{}.platform_secret);
+  std::vector<std::uint64_t> seqs;
+  std::vector<std::vector<std::uint8_t>> ivs;
+  const auto record_blob = [&] {
+    const sgx::SealedBlob blob =
+        sgx::SealedBlob::deserialize(srv.tenant_state(0).checkpoint);
+    seqs.push_back(server::TenantState::decode_payload(
+                       sealer.unseal(app.enclave(), blob), 0)
+                       .seq);
+    ivs.push_back(blob.iv);
+  };
+  const auto deposit_once = [&] {
+    sched.spawn("client", [&] { srv.submit_and_wait(0, deposit(10)); });
+    sched.run();
+  };
+
+  deposit_once();  // deposit + the checkpoint's balance read + seal
+  record_blob();
+
+  // One transition failure a quarter into the next request's service time:
+  // after the deposit's ecall has started, before the checkpoint's
+  // balance read starts.
+  FaultPlan plan;
+  plan.add({app.env().clock.now() + srv.latencies(0).back() / 4,
+            FaultKind::kTransitionFailure, 0});
+  FaultInjector injector(app.env(), std::move(plan));
+  injector.arm(app.enclave());
+  app.bridge().attach_fault_injector(&injector);
+  deposit_once();
+  app.bridge().attach_fault_injector(nullptr);
+  ASSERT_EQ(injector.stats().transition_failures, 1u);
+  ASSERT_EQ(srv.tenant_stats(0).retries, 0u) << "the deposit itself ran";
+  ASSERT_EQ(srv.tenant_stats(0).checkpoints, 1u) << "its checkpoint faulted";
+
+  deposit_once();
+  ASSERT_EQ(srv.tenant_stats(0).checkpoints, 2u);
+  record_blob();
+  EXPECT_GT(seqs[1], seqs[0]);
+  EXPECT_NE(ivs[1], ivs[0]);
+  EXPECT_EQ(srv.tenant_stats(0).completed, 3u);
+  srv.stop();
+}
+
 // ---- Fleet failover vs the restart ladder ----------------------------------
 
 // The acceptance claim behind fig_fleet, in unit form: losing an enclave

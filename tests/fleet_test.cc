@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "apps/illustrative/bank.h"
@@ -17,9 +18,11 @@
 #include "fleet/shard.h"
 #include "rmi/proxy_runtime.h"
 #include "sched/scheduler.h"
+#include "server/server.h"
 #include "server/tenant_state.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace msv {
 namespace {
@@ -303,6 +306,102 @@ TEST(FleetRouterTest, RoutesEveryTenantToItsRingOwnerAtStart) {
   EXPECT_EQ(used.size(), 4u);
   rig.router.stop();
 }
+
+// ---- Server vs one-shard fleet ---------------------------------------------
+
+// One cell of the configuration-equivalence oracle: a single enclave server
+// is a one-shard fleet with no standby, so the same seeded deposit/balance
+// stream must leave every tenant with the same balance, and the same
+// completed and failed counts, through either. Cycles are not compared:
+// the two keep different worker lanes and restore policies on purpose.
+struct ServeOutcome {
+  std::vector<std::int64_t> balances;
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+};
+
+constexpr std::uint32_t kEquivTenants = 4;
+constexpr std::int32_t kEquivInitial = 100;
+
+// Drives `stream` through `submit`, drains, then reads every balance.
+template <class Serve>
+ServeOutcome drive(sched::Scheduler& sched, Serve& serve,
+                   const std::vector<std::pair<std::uint32_t,
+                                               server::Request>>& stream) {
+  for (const auto& [tenant, req] : stream) {
+    EXPECT_TRUE(serve.submit(tenant, req));
+  }
+  ServeOutcome out;
+  sched.spawn("drain-and-read", [&] {
+    while (serve.pending() > 0) sched.sleep_for(10'000);
+    server::Request bal;
+    bal.op = server::RequestOp::kBalance;
+    for (std::uint32_t t = 0; t < kEquivTenants; ++t) {
+      out.balances.push_back(serve.submit_and_wait(t, bal));
+    }
+  });
+  sched.run();
+  out.completed = serve.stats().completed;
+  out.failed = serve.stats().failed;
+  return out;
+}
+
+class ServerFleetEquivalence
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ServerFleetEquivalence, SameBalancesAndCounts) {
+  const std::uint32_t coalesce = GetParam();
+  std::vector<std::pair<std::uint32_t, server::Request>> stream;
+  std::vector<std::int64_t> expected(kEquivTenants, kEquivInitial);
+  Rng rng(0x5eed);
+  for (int i = 0; i < 160; ++i) {
+    server::Request r;
+    const auto tenant = static_cast<std::uint32_t>(rng.next_below(
+        kEquivTenants));
+    r.op = rng.next_bool(0.3) ? server::RequestOp::kBalance
+                              : server::RequestOp::kDeposit;
+    r.amount = static_cast<std::int32_t>(rng.next_below(50)) + 1;
+    if (r.op == server::RequestOp::kDeposit) expected[tenant] += r.amount;
+    stream.emplace_back(tenant, r);
+  }
+
+  core::MultiIsolateApp app(apps::build_bank_app(), kEquivTenants);
+  sched::Scheduler server_sched(app.env());
+  server::ServerConfig scfg;
+  scfg.max_queue_depth = 256;
+  scfg.coalesce_max = coalesce;
+  scfg.initial_balance = kEquivInitial;
+  server::RequestServer srv(server_sched, app, scfg);
+  srv.start();
+  const ServeOutcome by_server = drive(server_sched, srv, stream);
+  srv.stop();
+  // Coalescing really batched: fewer ecalls than requests.
+  if (coalesce > 1) {
+    EXPECT_LT(app.bridge().stats().ecalls, stream.size());
+  }
+
+  FleetConfig fcfg;
+  fcfg.shards = 1;
+  fcfg.tenants = kEquivTenants;
+  fcfg.max_shard_pending = 1024;
+  fcfg.shard.max_queue_depth = 256;
+  fcfg.shard.coalesce_max = coalesce;
+  fcfg.shard.initial_balance = kEquivInitial;
+  FleetRig rig(fcfg);
+  rig.router.start();
+  const ServeOutcome by_fleet = drive(rig.sched, rig.router, stream);
+  rig.router.stop();
+
+  EXPECT_EQ(by_server.balances, expected);
+  EXPECT_EQ(by_fleet.balances, by_server.balances);
+  EXPECT_EQ(by_fleet.completed, by_server.completed);
+  EXPECT_EQ(by_fleet.failed, by_server.failed);
+  EXPECT_EQ(by_server.completed, stream.size() + kEquivTenants);
+  EXPECT_EQ(by_server.failed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Coalescing, ServerFleetEquivalence,
+                         ::testing::Values(1u, 4u));
 
 }  // namespace
 }  // namespace msv

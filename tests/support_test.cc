@@ -20,6 +20,29 @@
 namespace msv {
 namespace {
 
+// A failed check names its file relative to the repository root, so the
+// message (and any RMI payload carrying it) is the same in every checkout.
+TEST(CheckFailed, MessageNamesRepoRelativePath) {
+  const auto message_of = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const RuntimeFault& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string here =
+      message_of([] { MSV_CHECK_MSG(1 + 1 == 3, "arithmetic"); });
+  EXPECT_NE(here.find(" at tests/support_test.cc:"), std::string::npos)
+      << here;
+  EXPECT_NE(here.find(": arithmetic"), std::string::npos) << here;
+
+  ByteReader reader(nullptr, 0);
+  const std::string library = message_of([&] { reader.seek(1); });
+  EXPECT_NE(library.find(" at src/support/bytes.cc:"), std::string::npos)
+      << library;
+}
+
 TEST(VirtualClock, StartsAtZero) {
   VirtualClock clock;
   EXPECT_EQ(clock.now(), 0u);
